@@ -1,6 +1,7 @@
 #include "formats/afp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,7 +25,8 @@ AfpFormat::AfpFormat(int exp_bits, int man_bits, Options opt)
       man_bits_(man_bits),
       opt_(opt),
       standard_bias_((1 << (exp_bits - 1)) - 1),
-      bias_offset_(0) {
+      bias_offset_(0),
+      rounder_(make_rounder()) {
   if (exp_bits < 2 || exp_bits > 8) {
     throw std::invalid_argument("AfpFormat: exp_bits must be in [2, 8]");
   }
@@ -33,28 +35,16 @@ AfpFormat::AfpFormat(int exp_bits, int man_bits, Options opt)
   }
 }
 
-float AfpFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const float sign = std::signbit(x) ? -1.0f : 1.0f;
-  const float ax = std::fabs(x);
-  const float mx = static_cast<float>(abs_max());
-  if (std::isinf(x)) return sign * mx;  // AFP has no Inf: saturate
-  if (ax == 0.0f) return sign * 0.0f;
+Float32Rounder AfpFormat::make_rounder() const {
+  // AFP has no Inf: overflow saturates.
+  return Float32Rounder::minifloat(e_min(), man_bits_, opt_.denormals,
+                                   AfpFormat::abs_max(),
+                                   /*overflow_to_inf=*/false);
+}
 
-  int e_unb = floor_log2(ax);
-  if (e_unb < e_min()) {
-    if (opt_.denormals) {
-      const float step = pow2f(e_min() - man_bits_);
-      return sign * round_to_step(ax, step);
-    }
-    const float min_normal = pow2f(e_min());
-    return (ax > min_normal * 0.5f) ? sign * min_normal : sign * 0.0f;
-  }
-  const float step = pow2f(e_unb - man_bits_);
-  float q = round_to_step(ax, step);
-  if (q >= pow2f(e_unb + 1)) e_unb += 1;
-  if (e_unb > e_max() || q > mx) return sign * mx;  // saturate
-  return sign * q;
+void AfpFormat::set_bias_offset(int offset) {
+  bias_offset_ = offset;
+  rounder_ = make_rounder();
 }
 
 Tensor AfpFormat::real_to_format_tensor(const Tensor& t) {
@@ -70,8 +60,8 @@ void AfpFormat::quantize_tensor_inplace(Tensor& t) {
   if (data_max > 0.0f && std::isfinite(data_max)) {
     const int e_data = floor_log2(data_max);
     const int desired_bias = ((1 << exp_bits_) - 2) - e_data;
-    bias_offset_ = std::clamp(desired_bias - standard_bias_,
-                              kOffsetMin, kOffsetMax);
+    set_bias_offset(std::clamp(desired_bias - standard_bias_, kOffsetMin,
+                               kOffsetMax));
   }
   // Persistent-register fault replay needs the pre-quantisation values, so
   // AFP always captures them (capacity reused across captures); the same
@@ -104,40 +94,16 @@ void AfpFormat::quantize_view_inplace(TensorView& v) {
 }
 
 BitString AfpFormat::real_to_format(float value) const {
-  const float q = quantize_value(value);
-  const uint64_t sign = std::signbit(q) ? 1 : 0;
-  uint64_t exp_field = 0;
-  uint64_t man_field = 0;
-  const float aq = std::fabs(q);
-  if (aq != 0.0f && !std::isnan(q)) {
-    const int e_unb = floor_log2(aq);
-    if (e_unb < e_min()) {
-      exp_field = 0;  // denormal
-      man_field = static_cast<uint64_t>(
-          std::llround(aq / pow2f(e_min() - man_bits_)));
-    } else {
-      exp_field = static_cast<uint64_t>(e_unb + exp_bias());
-      const float frac = aq / pow2f(e_unb) - 1.0f;
-      man_field =
-          static_cast<uint64_t>(std::llround(frac * pow2f(man_bits_)));
-    }
+  const auto q = std::bit_cast<uint32_t>(quantize_value(value));
+  const uint64_t sign = q >> 31;
+  const uint32_t aq = q & 0x7FFFFFFFu;
+  MinifloatFields f;  // NaN (and zero) encode as all-zero fields
+  if (aq != 0 && aq < 0x7F800000u) {
+    f = minifloat_fields(aq, exp_bias(), man_bits_);
   }
   const uint64_t bits =
-      (sign << (exp_bits_ + man_bits_)) | (exp_field << man_bits_) | man_field;
+      (sign << (exp_bits_ + man_bits_)) | (f.exp << man_bits_) | f.man;
   return BitString(bits, bit_width_);
-}
-
-float AfpFormat::decode_fields(bool sign, int exp_field, int man_field) const {
-  const float s = sign ? -1.0f : 1.0f;
-  if (exp_field == 0) {
-    if (!opt_.denormals) return s * 0.0f;
-    return s * static_cast<float>(man_field) * pow2f(e_min() - man_bits_);
-  }
-  // All non-zero exponent codes decode as normals (no Inf/NaN in AFP);
-  // faulty values stay finite, as in a saturating accelerator datapath.
-  const int e_unb = exp_field - exp_bias();
-  const float frac = 1.0f + static_cast<float>(man_field) / pow2f(man_bits_);
-  return s * frac * pow2f(e_unb);
 }
 
 float AfpFormat::format_to_real(const BitString& bits) const {
@@ -145,12 +111,14 @@ float AfpFormat::format_to_real(const BitString& bits) const {
     throw std::invalid_argument("AfpFormat: bitstring width mismatch");
   }
   const uint64_t raw = bits.value();
-  const int man_field =
-      static_cast<int>(raw & ((uint64_t{1} << man_bits_) - 1));
-  const int exp_field = static_cast<int>((raw >> man_bits_) &
-                                         ((uint64_t{1} << exp_bits_) - 1));
+  const uint64_t man_field = raw & ((uint64_t{1} << man_bits_) - 1);
+  const uint64_t exp_field =
+      (raw >> man_bits_) & ((uint64_t{1} << exp_bits_) - 1);
   const bool sign = (raw >> (exp_bits_ + man_bits_)) & 1;
-  return decode_fields(sign, exp_field, man_field);
+  if (exp_field == 0 && !opt_.denormals) return sign ? -0.0f : 0.0f;
+  // All non-zero exponent codes decode as normals (no Inf/NaN in AFP);
+  // faulty values stay finite, as in a saturating accelerator datapath.
+  return minifloat_value(sign, exp_field, man_field, exp_bias(), man_bits_);
 }
 
 std::vector<MetadataField> AfpFormat::metadata_fields() const {
@@ -175,7 +143,7 @@ void AfpFormat::write_metadata(const std::string& field, int64_t index,
   // two's-complement decode of the offset register
   const auto raw = static_cast<int>(bits.value());
   const int sign_bit = 1 << (kOffsetBits - 1);
-  bias_offset_ = (raw & sign_bit) ? raw - (1 << kOffsetBits) : raw;
+  set_bias_offset((raw & sign_bit) ? raw - (1 << kOffsetBits) : raw);
 }
 
 Tensor AfpFormat::decode_last_tensor() const {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rounding.hpp"
 
 namespace ge::fmt {
 
@@ -77,20 +78,24 @@ class AfpFormat : public NumberFormat {
   static constexpr int kOffsetMin = -(1 << (kOffsetBits - 1));
   static constexpr int kOffsetMax = (1 << (kOffsetBits - 1)) - 1;
 
-  float quantize_value(float x) const;
+  float quantize_value(float x) const { return rounder_.round(x); }
 
  private:
   int e_min() const noexcept { return 1 - exp_bias(); }
   int e_max() const noexcept {
     return ((1 << exp_bits_) - 2) - exp_bias();
   }
-  float decode_fields(bool sign, int exp_field, int man_field) const;
+  /// Rounding constants for the current bias.
+  Float32Rounder make_rounder() const;
+  /// Load the offset register and re-derive the rounding constants.
+  void set_bias_offset(int offset);
 
   int exp_bits_;
   int man_bits_;
   Options opt_;
   int standard_bias_;  // 2^(e-1) - 1
   int bias_offset_;    // the metadata register content
+  Float32Rounder rounder_;  // grid under the current bias
   // Pre-quantisation values for persistent-fault replay. A plain vector
   // (not a Tensor) so repeated captures at one site reuse the allocation.
   std::vector<float> last_vals_;

@@ -1,5 +1,6 @@
 #include "formats/fp.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -16,6 +17,10 @@ std::string fp_name(int e, int m, const FloatFormat::Options& o) {
   if (o.saturate_overflow) s += "_sat";
   return s;
 }
+
+double fp_abs_max(int man_bits, int e_max) {
+  return (2.0 - std::ldexp(1.0, -man_bits)) * std::ldexp(1.0, e_max);
+}
 }  // namespace
 
 FloatFormat::FloatFormat(int exp_bits, int man_bits, Options opt)
@@ -25,53 +30,16 @@ FloatFormat::FloatFormat(int exp_bits, int man_bits, Options opt)
       bias_((1 << (exp_bits - 1)) - 1),
       e_min_(1 - bias_),
       e_max_(bias_),
-      opt_(opt) {
+      opt_(opt),
+      rounder_(Float32Rounder::minifloat(e_min_, man_bits, opt.denormals,
+                                         fp_abs_max(man_bits, e_max_),
+                                         !opt.saturate_overflow)) {
   if (exp_bits < 2 || exp_bits > 11) {
     throw std::invalid_argument("FloatFormat: exp_bits must be in [2, 11]");
   }
   if (man_bits < 1 || man_bits > 52) {
     throw std::invalid_argument("FloatFormat: man_bits must be in [1, 52]");
   }
-}
-
-float FloatFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const float sign = std::signbit(x) ? -1.0f : 1.0f;
-  float ax = std::fabs(x);
-  const float mx = static_cast<float>(abs_max());
-  if (std::isinf(x) || ax > mx) {
-    // Overflow handling happens after rounding below; Inf handled here.
-    if (std::isinf(x)) {
-      return opt_.saturate_overflow
-                 ? sign * mx
-                 : x;
-    }
-  }
-  if (ax == 0.0f) return sign * 0.0f;
-
-  int e_unb = floor_log2(ax);
-  if (e_unb < e_min_) {
-    if (opt_.denormals) {
-      const float step = pow2f(e_min_ - man_bits_);
-      const float q = round_to_step(ax, step);
-      return sign * q;  // q may round up into the smallest normal; fine
-    }
-    // No denormals: nearest of {0, min_normal} with ties to zero (even).
-    const float min_normal = pow2f(e_min_);
-    return (ax > min_normal * 0.5f) ? sign * min_normal : sign * 0.0f;
-  }
-
-  float step = pow2f(e_unb - man_bits_);
-  float q = round_to_step(ax, step);
-  if (q >= pow2f(e_unb + 1)) e_unb += 1;  // rounding bumped the exponent
-  if (e_unb > e_max_) {
-    if (q > mx) {
-      return opt_.saturate_overflow
-                 ? sign * mx
-                 : sign * std::numeric_limits<float>::infinity();
-    }
-  }
-  return sign * q;
 }
 
 Tensor FloatFormat::real_to_format_tensor(const Tensor& t) {
@@ -96,35 +64,20 @@ void FloatFormat::quantize_view_inplace(TensorView& v) {
 }
 
 BitString FloatFormat::real_to_format(float value) const {
-  const float q = quantize_value(value);
-  const uint64_t sign = std::signbit(q) ? 1 : 0;
+  const auto q = std::bit_cast<uint32_t>(quantize_value(value));
+  const uint64_t sign = q >> 31;
+  const uint32_t aq = q & 0x7FFFFFFFu;
   const uint64_t exp_all_ones = (uint64_t{1} << exp_bits_) - 1;
-  uint64_t exp_field = 0;
-  uint64_t man_field = 0;
-  const float aq = std::fabs(q);
-  if (std::isnan(q)) {
-    exp_field = exp_all_ones;
-    man_field = uint64_t{1} << (man_bits_ - 1);  // quiet-NaN style payload
-  } else if (std::isinf(q)) {
-    exp_field = exp_all_ones;
-  } else if (aq == 0.0f) {
-    // all-zero fields
-  } else {
-    int e_unb = floor_log2(aq);
-    if (e_unb < e_min_) {
-      // denormal: value = man * 2^(e_min - m)
-      exp_field = 0;
-      man_field = static_cast<uint64_t>(
-          std::llround(aq / pow2f(e_min_ - man_bits_)));
-    } else {
-      exp_field = static_cast<uint64_t>(e_unb + bias_);
-      const float frac = aq / pow2f(e_unb) - 1.0f;  // in [0, 1)
-      man_field =
-          static_cast<uint64_t>(std::llround(frac * pow2f(man_bits_)));
-    }
+  MinifloatFields f;
+  if (aq > 0x7F800000u) {
+    f = {exp_all_ones, uint64_t{1} << (man_bits_ - 1)};  // quiet-NaN payload
+  } else if (aq == 0x7F800000u) {
+    f.exp = exp_all_ones;
+  } else if (aq != 0) {
+    f = minifloat_fields(aq, bias_, man_bits_);
   }
   const uint64_t bits =
-      (sign << (exp_bits_ + man_bits_)) | (exp_field << man_bits_) | man_field;
+      (sign << (exp_bits_ + man_bits_)) | (f.exp << man_bits_) | f.man;
   return BitString(bits, bit_width_);
 }
 
@@ -138,25 +91,19 @@ float FloatFormat::format_to_real(const BitString& bits) const {
   const uint64_t man_field = raw & man_mask;
   const uint64_t exp_field = (raw >> man_bits_) & exp_mask;
   const bool sign = (raw >> (exp_bits_ + man_bits_)) & 1;
-  const float s = sign ? -1.0f : 1.0f;
 
   if (exp_field == exp_mask) {
-    if (man_field == 0) return s * std::numeric_limits<float>::infinity();
-    return std::numeric_limits<float>::quiet_NaN();
+    if (man_field != 0) return std::numeric_limits<float>::quiet_NaN();
+    return sign ? -std::numeric_limits<float>::infinity()
+                : std::numeric_limits<float>::infinity();
   }
-  if (exp_field == 0) {
-    if (!opt_.denormals) return s * 0.0f;  // denormals disabled: reads as 0
-    return s * static_cast<float>(man_field) * pow2f(e_min_ - man_bits_);
+  if (exp_field == 0 && !opt_.denormals) {
+    return sign ? -0.0f : 0.0f;  // denormals disabled: reads as 0
   }
-  const int e_unb = static_cast<int>(exp_field) - bias_;
-  const float frac =
-      1.0f + static_cast<float>(man_field) / pow2f(man_bits_);
-  return s * frac * pow2f(e_unb);
+  return minifloat_value(sign, exp_field, man_field, bias_, man_bits_);
 }
 
-double FloatFormat::abs_max() const {
-  return (2.0 - std::ldexp(1.0, -man_bits_)) * std::ldexp(1.0, e_max_);
-}
+double FloatFormat::abs_max() const { return fp_abs_max(man_bits_, e_max_); }
 
 double FloatFormat::abs_min() const {
   return opt_.denormals ? std::ldexp(1.0, e_min_ - man_bits_)

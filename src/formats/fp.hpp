@@ -8,6 +8,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rounding.hpp"
 
 namespace ge::fmt {
 
@@ -43,9 +44,10 @@ class FloatFormat : public NumberFormat {
   int bias() const noexcept { return bias_; }
   bool denormals() const noexcept { return opt_.denormals; }
 
-  /// Quantise one value to the nearest representable (float fast path; the
-  /// scalar bitstring methods agree with this exactly — tested).
-  float quantize_value(float x) const;
+  /// Quantise one value to the nearest representable, on the float32 bit
+  /// pattern (formats/rounding.hpp); the scalar bitstring methods agree
+  /// with this exactly — tested.
+  float quantize_value(float x) const { return rounder_.round(x); }
 
  private:
   int exp_bits_;
@@ -54,6 +56,7 @@ class FloatFormat : public NumberFormat {
   int e_min_;  // minimum normal (unbiased) exponent = 1 - bias
   int e_max_;  // maximum normal (unbiased) exponent = bias (top code reserved)
   Options opt_;
+  Float32Rounder rounder_;
 };
 
 }  // namespace ge::fmt

@@ -9,28 +9,31 @@
 
 namespace ge::fmt {
 
+namespace {
+int checked_data_bits(int int_bits, int frac_bits) {
+  if (int_bits < 0 || frac_bits < 0 || int_bits + frac_bits < 1 ||
+      int_bits + frac_bits > 62) {
+    throw std::invalid_argument("FxpFormat: need 1 <= i+f <= 62, i,f >= 0");
+  }
+  return int_bits + frac_bits;
+}
+}  // namespace
+
 FxpFormat::FxpFormat(int int_bits, int frac_bits)
     : NumberFormat(
           "fxp_1_" + std::to_string(int_bits) + "_" + std::to_string(frac_bits),
           1 + int_bits + frac_bits),
       int_bits_(int_bits),
-      frac_bits_(frac_bits) {
-  if (int_bits < 0 || frac_bits < 0 || int_bits + frac_bits < 1 ||
-      int_bits + frac_bits > 62) {
-    throw std::invalid_argument("FxpFormat: need 1 <= i+f <= 62, i,f >= 0");
-  }
-  const int data_bits = int_bits_ + frac_bits_;
-  min_code_ = -(int64_t{1} << data_bits);
-  max_code_ = (int64_t{1} << data_bits) - 1;
-}
-
-float FxpFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const double scaled = double(x) * std::ldexp(1.0, frac_bits_);
-  double code = std::nearbyint(scaled);
-  code = std::clamp(code, double(min_code_), double(max_code_));
-  return static_cast<float>(code * std::ldexp(1.0, -frac_bits_));
-}
+      frac_bits_(frac_bits),
+      min_code_(-(int64_t{1} << checked_data_bits(int_bits, frac_bits))),
+      max_code_((int64_t{1} << (int_bits + frac_bits)) - 1),
+      // Every finite float32 lies below 2^128, so the whole range takes the
+      // absolute 2^-f step. The positive limit is the top code narrowed to
+      // float32, which is 2^i once i + f > 24.
+      rounder_(128, 23, -frac_bits,
+               narrow_to_float(double(max_code_) * std::ldexp(1.0, -frac_bits)),
+               static_cast<float>(std::ldexp(1.0, int_bits)),
+               /*overflow_to_inf=*/false) {}
 
 Tensor FxpFormat::real_to_format_tensor(const Tensor& t) {
   Tensor out = t;  // O(1) share; the in-place kernel detaches on write

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rounding.hpp"
 
 namespace ge::fmt {
 
@@ -29,13 +30,14 @@ class FxpFormat : public NumberFormat {
   /// Radix position (bits below the binary point).
   int radix() const noexcept { return frac_bits_; }
 
-  float quantize_value(float x) const;
+  float quantize_value(float x) const { return rounder_.round(x); }
 
  private:
   int int_bits_;
   int frac_bits_;
   int64_t min_code_;  // -2^(i+f)
   int64_t max_code_;  //  2^(i+f) - 1
+  Float32Rounder rounder_;  // the 2^-f grid, clamped to the code range
 };
 
 }  // namespace ge::fmt

@@ -108,12 +108,6 @@ double NumberFormat::dynamic_range_db() const {
   return 20.0 * std::log10(abs_max() / mn);
 }
 
-float round_to_step(float x, float step) {
-  // nearbyint obeys the current rounding mode; the default (and the mode
-  // this library assumes) is round-to-nearest-even, matching IEEE-754.
-  return static_cast<float>(std::nearbyint(x / step)) * step;
-}
-
 int floor_log2(float x) {
   int e = 0;
   const float m = std::frexp(std::fabs(x), &e);  // |x| = m * 2^e, m in [0.5,1)

@@ -202,10 +202,9 @@ class NumberFormat {
   int bit_width_;
 };
 
-/// --- shared bit-level helpers (used by several formats and the tests) ----
-
-/// Round-to-nearest-even of x onto the grid {k * step}.
-float round_to_step(float x, float step);
+/// --- float helpers for per-tensor metadata (BFP shared exponents, AFP
+/// bias selection). Element rounding does not use them: the FP, AFP and FxP
+/// quantisers round on the float32 bit pattern (formats/rounding.hpp). ----
 
 /// floor(log2(|x|)) for finite non-zero x.
 int floor_log2(float x);

