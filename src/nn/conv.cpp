@@ -4,7 +4,6 @@
 
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::nn {
 
@@ -41,100 +40,14 @@ Tensor Conv2d::forward(const Tensor& input) {
                                 std::to_string(in_c_) + ", got " +
                                 shape_to_string(input.shape()));
   }
-  const int64_t N = input.size(0), H = input.size(2), W = input.size(3);
-  const int64_t OH = spec_.out_h(H), OW = spec_.out_w(W);
-  const int64_t patch = in_c_ * spec_.kernel_h * spec_.kernel_w;
-
-  // Unpadded inference never needs the im2col gather: every patch is a
-  // strided window of the input storage itself. Training keeps the GEMM
-  // path (backward consumes cached_cols_), and padded convs would have to
-  // skip the zero taps — which changes nothing numerically here (pad taps
-  // multiply 0.0f and FP32 addition of +0.0 is an identity on every finite
-  // and non-finite MAC result except -0.0 sums, which the gate sidesteps
-  // entirely by bitwise-matching the GEMM's tap-for-tap order).
-  if (!is_training() && spec_.pad_h == 0 && spec_.pad_w == 0) {
-    return forward_direct(input, N, H, W, OH, OW);
-  }
-
-  Tensor cols = ops::im2col(input, spec_);                  // (N*OH*OW, patch)
-  Tensor wmat = weight_.value.reshape({out_c_, patch});     // (OC, patch)
-  Tensor ymat = ops::matmul_bt(cols, wmat);                 // (N*OH*OW, OC)
-
-  // Reorder (n, oh, ow, oc) -> NCHW.
-  Tensor out({N, out_c_, OH, OW});
-  const float* py = ymat.cdata();
-  const float* pb = bias_.value.cdata();
-  float* po = out.data();
-  // Parallel over (n, oc) planes: each writes a disjoint OH*OW slice.
-  parallel::parallel_for(
-      0, N * out_c_, parallel::grain_for(OH * OW), [&](int64_t lo, int64_t hi) {
-        for (int64_t noc = lo; noc < hi; ++noc) {
-          const int64_t n = noc / out_c_;
-          const int64_t oc = noc % out_c_;
-          const float b = with_bias_ ? pb[oc] : 0.0f;
-          float* dst = po + noc * OH * OW;
-          const float* src = py + n * OH * OW * out_c_ + oc;
-          for (int64_t i = 0; i < OH * OW; ++i) dst[i] = src[i * out_c_] + b;
-        }
-      });
   if (is_training()) {
-    cached_cols_ = std::move(cols);
+    cached_cols_ = ops::im2col(input, spec_);  // backward's GEMM operand
     cached_input_shape_ = input.shape();
+  } else {
+    obs::add(obs::Counter::kAllocationsAvoided);  // the skipped cols matrix
   }
-  return out;
-}
-
-Tensor Conv2d::forward_direct(const Tensor& input, int64_t N, int64_t H,
-                              int64_t W, int64_t OH, int64_t OW) {
-  const int64_t KH = spec_.kernel_h, KW = spec_.kernel_w;
-  const int64_t SH = spec_.stride_h, SW = spec_.stride_w;
-  const int64_t patch = in_c_ * KH * KW;
-
-  // The view pins the input storage and supplies the patch geometry; the
-  // kernel walks unit-stride W-rows inside it. Accumulation order is the
-  // GEMM path's exactly: one FP32 accumulator per output element, taps in
-  // ascending (c, kh, kw) — the im2col row layout — then + bias. That makes
-  // the two paths bit-identical, so the prefix-cache/campaign digests do
-  // not depend on which one ran.
-  ConstTensorView xin(input);
-  const float* px = xin.storage();
-  const float* pw = weight_.value.cdata();
-  const float* pb = bias_.value.cdata();
-  Tensor out({N, out_c_, OH, OW});
-  float* po = out.data();
-  obs::add(obs::Counter::kAllocationsAvoided);  // the skipped cols matrix
-
-  parallel::parallel_for(
-      0, N * out_c_, parallel::grain_for(OH * OW * patch),
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t noc = lo; noc < hi; ++noc) {
-          const int64_t n = noc / out_c_;
-          const int64_t oc = noc % out_c_;
-          const float* wrow = pw + oc * patch;
-          const float b = with_bias_ ? pb[oc] : 0.0f;
-          float* dst = po + noc * OH * OW;
-          for (int64_t oh = 0; oh < OH; ++oh) {
-            const int64_t ih0 = oh * SH;
-            for (int64_t ow = 0; ow < OW; ++ow) {
-              const int64_t iw0 = ow * SW;
-              const float* wp = wrow;
-              float acc = 0.0f;
-              for (int64_t c = 0; c < in_c_; ++c) {
-                const float* xc =
-                    px + ((n * in_c_ + c) * H + ih0) * W + iw0;
-                for (int64_t kh = 0; kh < KH; ++kh) {
-                  const float* xrow = xc + kh * W;
-                  for (int64_t kw = 0; kw < KW; ++kw) {
-                    acc += xrow[kw] * *wp++;
-                  }
-                }
-              }
-              dst[oh * OW + ow] = acc + b;
-            }
-          }
-        }
-      });
-  return out;
+  return ops::conv2d(input, weight_.value, with_bias_ ? &bias_.value : nullptr,
+                     spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {

@@ -1,4 +1,5 @@
-// Conv2d: 2-D convolution over NCHW tensors via im2col + GEMM.
+// Conv2d: 2-D convolution over NCHW tensors (ops::conv2d forward; backward
+// through im2col + GEMM).
 #pragma once
 
 #include "nn/module.hpp"
@@ -24,12 +25,6 @@ class Conv2d : public Module {
   int64_t out_channels() const noexcept { return out_c_; }
 
  private:
-  /// Inference path for unpadded convolutions: slices input patches as
-  /// strided views of the NCHW storage instead of materialising an im2col
-  /// matrix. Bitwise identical to the GEMM path (same FP32 MAC order).
-  Tensor forward_direct(const Tensor& input, int64_t N, int64_t H, int64_t W,
-                        int64_t OH, int64_t OW);
-
   int64_t in_c_;
   int64_t out_c_;
   bool with_bias_;

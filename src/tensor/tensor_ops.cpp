@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 
@@ -194,13 +196,128 @@ std::vector<int64_t> argmax_rows(const Tensor& a) {
   return out;
 }
 
-// Accumulation policy (all matmul variants): float32 multiply-accumulate
-// in ascending-k order. This matches the emulated accelerator's native
-// FP32 MAC fabric (DESIGN.md §1: "native" = the hardware's own format) and
-// makes the three variants agree bitwise on the same logical product —
-// each output element sees the identical sequence of FP32 additions — so
-// layers are free to pick whichever operand layout is cache-friendly.
-// Rows of the output are independent, which is also the parallel axis.
+// Accumulation contract (the matmul family and Conv2d's forward): every
+// output element has one FP32 accumulator that starts at +0.0f and, for k
+// ascending, takes one rounded product and one rounded add,
+//   acc = acc + a[i][k] * b[k][j].
+// No operand is skipped, except that `matmul` and `matmul_at` skip a k step
+// for row i when a[i][k] compares equal to zero (+0 or -0). Against a finite
+// b that skip changes nothing; against Inf or NaN (which faults produce) it
+// decides between a number and NaN, so it is part of the contract. Conv adds
+// its bias (or +0.0f) once, after the last tap. This is the emulated
+// accelerator's native FP32 MAC fabric (DESIGN.md §1), and it makes the three
+// variants agree bitwise on the same logical product. (One thing IEEE 754
+// leaves open: when the accumulator and the product are both NaN, which
+// payload the sum carries is up to the hardware and the register the
+// compiler makes the destination. No digest reads NaN payloads.)
+//
+// One packed-panel micro-kernel implements it. B is packed k-major into
+// panels of kNR columns once per call (never cached: weight faults and
+// Emulator attach rewrite weights between calls), and a kMR x kNR tile of
+// accumulators runs SIMD lanes across output columns, never across k. Tile
+// shape, chunking and thread count therefore cannot move a bit of any
+// output. The build passes -ffp-contract=off so no product and add are ever
+// fused into an FMA.
+
+namespace {
+
+using f32x4 = float __attribute__((vector_size(16)));
+constexpr int64_t kMR = 4;  // A rows per tile
+constexpr int64_t kNR = 8;  // output columns per tile: two 4-lane vectors
+
+/// Rows [0, R) of A times one packed panel `bp` (K x kNR, k-major). Row r
+/// of A holds its k-th element at a[r * a_rs + k * a_ks]. Writes the first
+/// `cols` columns of row r to c + r * c_rs, adding add[r] when `add` is set.
+template <int R, bool kSkipZeroA>
+void tile(int64_t K, const float* a, int64_t a_rs, int64_t a_ks,
+          const float* bp, float* c, int64_t c_rs, int64_t cols,
+          const float* add) {
+  f32x4 acc[R][2] = {};
+  for (int64_t k = 0; k < K; ++k) {
+    f32x4 b0, b1;
+    std::memcpy(&b0, bp + k * kNR, sizeof b0);
+    std::memcpy(&b1, bp + k * kNR + 4, sizeof b1);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * a_rs + k * a_ks];
+      if (kSkipZeroA && av == 0.0f) continue;
+      const f32x4 va = {av, av, av, av};
+      acc[r][0] += va * b0;
+      acc[r][1] += va * b1;
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    float row[kNR];
+    std::memcpy(row, acc[r], sizeof row);
+    float* crow = c + r * c_rs;
+    if (add) {
+      for (int64_t j = 0; j < cols; ++j) crow[j] = row[j] + add[r];
+    } else {
+      for (int64_t j = 0; j < cols; ++j) crow[j] = row[j];
+    }
+  }
+}
+
+/// tile() for the `rows` (1..kMR) rows left in a row block.
+template <bool kSkipZeroA>
+void run_tile(int64_t rows, int64_t K, const float* a, int64_t a_rs,
+              int64_t a_ks, const float* bp, float* c, int64_t c_rs,
+              int64_t cols, const float* add) {
+  switch (rows) {
+    case 1:
+      return tile<1, kSkipZeroA>(K, a, a_rs, a_ks, bp, c, c_rs, cols, add);
+    case 2:
+      return tile<2, kSkipZeroA>(K, a, a_rs, a_ks, bp, c, c_rs, cols, add);
+    case 3:
+      return tile<3, kSkipZeroA>(K, a, a_rs, a_ks, bp, c, c_rs, cols, add);
+    default:
+      return tile<4, kSkipZeroA>(K, a, a_rs, a_ks, bp, c, c_rs, cols, add);
+  }
+}
+
+/// C (M x N, dense row-major) = A (M x K) * B (K x N) under the contract
+/// above. A[i][k] = a[i * a_rs + k * a_ks]; B[k][j] = b[k * b_ks + j * b_js].
+template <bool kSkipZeroA>
+void gemm(int64_t M, int64_t N, int64_t K, const float* a, int64_t a_rs,
+          int64_t a_ks, const float* b, int64_t b_ks, int64_t b_js,
+          float* c) {
+  if (M == 0 || N == 0) return;
+  const int64_t panels = (N + kNR - 1) / kNR;
+  // Panel p holds columns [p*kNR, p*kNR + kNR) k-major; lanes past N are
+  // 0.0f and their results are never stored. The buffer is an arena block
+  // (no heap traffic in a steady-state forward); it is repacked every call.
+  Tensor packed_buf({panels * K * kNR});
+  float* packed = packed_buf.data();
+  parallel::parallel_for(
+      0, panels, parallel::grain_for(K * kNR), [&](int64_t lo, int64_t hi) {
+        for (int64_t p = lo; p < hi; ++p) {
+          float* dst = packed + p * K * kNR;
+          for (int64_t k = 0; k < K; ++k) {
+            for (int64_t jj = 0; jj < kNR; ++jj) {
+              const int64_t j = p * kNR + jj;
+              *dst++ = j < N ? b[k * b_ks + j * b_js] : 0.0f;
+            }
+          }
+        }
+      });
+  const int64_t row_blocks = (M + kMR - 1) / kMR;
+  parallel::parallel_for(
+      0, row_blocks * panels, parallel::grain_for(kMR * kNR * K),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) {
+          const int64_t i0 = (t / panels) * kMR;
+          const int64_t p = t % panels;
+          const int64_t j0 = p * kNR;
+          run_tile<kSkipZeroA>(std::min(kMR, M - i0), K, a + i0 * a_rs, a_rs,
+                               a_ks, packed + p * K * kNR,
+                               c + i0 * N + j0, N, std::min(kNR, N - j0),
+                               nullptr);
+        }
+      });
+}
+
+}  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.dim() != 2 || b.dim() != 2 || a.size(1) != b.size(0)) {
@@ -210,22 +327,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   }
   const int64_t M = a.size(0), K = a.size(1), N = b.size(1);
   Tensor out({M, N});
-  const float* pa = a.cdata();
-  const float* pb = b.cdata();
-  float* po = out.data();
-  // ikj loop order: unit-stride inner loops on both B and C.
-  parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float* crow = po + i * N;
-          for (int64_t k = 0; k < K; ++k) {
-            const float aval = pa[i * K + k];
-            if (aval == 0.0f) continue;
-            const float* brow = pb + k * N;
-            for (int64_t j = 0; j < N; ++j) crow[j] += aval * brow[j];
-          }
-        }
-      });
+  gemm<true>(M, N, K, a.cdata(), K, 1, b.cdata(), N, 1, out.data());
   return out;
 }
 
@@ -237,21 +339,7 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b_t) {
   }
   const int64_t M = a.size(0), K = a.size(1), N = b_t.size(0);
   Tensor out({M, N});
-  const float* pa = a.cdata();
-  const float* pb = b_t.cdata();
-  float* po = out.data();
-  parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float* arow = pa + i * K;
-          for (int64_t j = 0; j < N; ++j) {
-            const float* brow = pb + j * K;
-            float acc = 0.0f;  // FP32 MAC, ascending k (see policy above)
-            for (int64_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-            po[i * N + j] = acc;
-          }
-        }
-      });
+  gemm<false>(M, N, K, a.cdata(), K, 1, b_t.cdata(), 1, K, out.data());
   return out;
 }
 
@@ -263,24 +351,7 @@ Tensor matmul_at(const Tensor& a_t, const Tensor& b) {
   }
   const int64_t K = a_t.size(0), M = a_t.size(1), N = b.size(1);
   Tensor out({M, N});
-  const float* pa = a_t.cdata();
-  const float* pb = b.cdata();
-  float* po = out.data();
-  // Row-parallel: each output row i accumulates over k independently (A
-  // reads are strided, but rows stay disjoint and the k-order is the same
-  // FP32 MAC sequence as the other variants).
-  parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float* crow = po + i * N;
-          for (int64_t k = 0; k < K; ++k) {
-            const float aval = pa[k * M + i];
-            if (aval == 0.0f) continue;
-            const float* brow = pb + k * N;
-            for (int64_t j = 0; j < N; ++j) crow[j] += aval * brow[j];
-          }
-        }
-      });
+  gemm<true>(M, N, K, a_t.cdata(), 1, M, b.cdata(), N, 1, out.data());
   return out;
 }
 
@@ -382,6 +453,104 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& s) {
         }
       });
   return cols;
+}
+
+Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
+              const Conv2dSpec& s) {
+  if (input.dim() != 4 || weight.dim() != 4 ||
+      weight.size(1) != input.size(1) || weight.size(2) != s.kernel_h ||
+      weight.size(3) != s.kernel_w) {
+    throw std::invalid_argument("conv2d: bad shapes " +
+                                shape_to_string(input.shape()) + " * " +
+                                shape_to_string(weight.shape()));
+  }
+  const int64_t N = input.size(0), C = input.size(1), H = input.size(2),
+                W = input.size(3), OC = weight.size(0);
+  if (bias != nullptr && bias->numel() != OC) {
+    throw std::invalid_argument("conv2d: bias size mismatch");
+  }
+  const int64_t OH = s.out_h(H), OW = s.out_w(W);
+  if (OH <= 0 || OW <= 0) {
+    throw std::invalid_argument("conv2d: empty output window");
+  }
+  const int64_t KH = s.kernel_h, KW = s.kernel_w;
+  const int64_t patch = C * KH * KW;  // K of the GEMM: taps in (c, kh, kw)
+  const int64_t P = OH * OW;          // output positions per image
+  const int64_t panels = (P + kNR - 1) / kNR;
+  std::vector<float> add(static_cast<size_t>(OC), 0.0f);
+  if (bias != nullptr) std::copy_n(bias->cdata(), OC, add.begin());
+
+  // Zero-pad the input once: pad taps then read +0.0f like any other tap,
+  // and the panel gather below needs no bounds checks.
+  const int64_t Hp = H + 2 * s.pad_h, Wp = W + 2 * s.pad_w;
+  const float* src = input.cdata();
+  Tensor padded;
+  if (Hp != H || Wp != W) {
+    padded = Tensor({N, C, Hp, Wp});
+    float* pp = padded.data();
+    parallel::parallel_for(
+        0, N * C, parallel::grain_for(Hp * Wp), [&](int64_t lo, int64_t hi) {
+          for (int64_t nc = lo; nc < hi; ++nc) {
+            for (int64_t h = 0; h < H; ++h) {
+              std::copy_n(src + (nc * H + h) * W, W,
+                          pp + (nc * Hp + h + s.pad_h) * Wp + s.pad_w);
+            }
+          }
+        });
+    src = padded.cdata();
+  }
+
+  Tensor out({N, OC, OH, OW});
+  const float* pw = weight.cdata();
+  float* po = out.data();
+  // Implicit im2col: each work item gathers the patch x kNR panel of one
+  // image's next kNR output positions (k-major, the packed-B layout), then
+  // runs every weight-row tile against it. Lanes past P repeat the last
+  // position; their results are never stored. Each worker slot owns one
+  // panel of an arena block: a slot runs its chunks one after another, and
+  // a nested call runs all of them inline on slot 0.
+  const int slots =
+      parallel::in_parallel_region() ? 1 : parallel::num_threads();
+  Tensor panel_buf({slots * patch * kNR});
+  float* panels_by_slot = panel_buf.data();
+  parallel::parallel_for_workers(
+      0, N * panels, parallel::grain_for(OC * kNR * patch), slots,
+      [&](int slot, int64_t lo, int64_t hi) {
+        float* panel = panels_by_slot + slot * patch * kNR;
+        int64_t base[kNR];  // window origin of each lane in a padded plane
+        for (int64_t t = lo; t < hi; ++t) {
+          const int64_t n = t / panels;
+          const int64_t p0 = (t % panels) * kNR;
+          const int64_t cols = std::min(kNR, P - p0);
+          bool contiguous = true;
+          for (int64_t jj = 0; jj < kNR; ++jj) {
+            const int64_t pos = p0 + std::min(jj, cols - 1);
+            base[jj] = (pos / OW) * s.stride_h * Wp + (pos % OW) * s.stride_w;
+            contiguous = contiguous && base[jj] == base[0] + jj;
+          }
+          const float* img = src + n * C * Hp * Wp;
+          float* dst = panel;
+          for (int64_t c = 0; c < C; ++c) {
+            for (int64_t kh = 0; kh < KH; ++kh) {
+              for (int64_t kw = 0; kw < KW; ++kw, dst += kNR) {
+                const float* tap = img + (c * Hp + kh) * Wp + kw;
+                if (contiguous) {
+                  std::memcpy(dst, tap + base[0], kNR * sizeof(float));
+                } else {
+                  for (int64_t jj = 0; jj < kNR; ++jj) dst[jj] = tap[base[jj]];
+                }
+              }
+            }
+          }
+          float* cimg = po + n * OC * P + p0;
+          for (int64_t oc = 0; oc < OC; oc += kMR) {
+            run_tile<false>(std::min(kMR, OC - oc), patch, pw + oc * patch,
+                            patch, 1, panel, cimg + oc * P, P, cols,
+                            add.data() + oc);
+          }
+        }
+      });
+  return out;
 }
 
 Tensor col2im(const Tensor& cols, const Shape& input_shape,

@@ -85,9 +85,16 @@ struct Conv2dSpec {
   }
 };
 
+/// 2-D convolution: NCHW input * (OC, C, KH, KW) weight -> (N, OC, OH, OW),
+/// each output `acc + bias[oc]` (+0.0f without a bias), where acc runs the
+/// matmul family's FP32 contract over the taps in (c, kh, kw) order, pad
+/// taps included as 0.0f. Gathers its operand panels from the input (from
+/// a zero-padded copy when the spec pads); no im2col matrix is built.
+Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
+              const Conv2dSpec& spec);
 /// Unfold an NCHW input into an im2col matrix of shape
-/// (N*OH*OW, C*KH*KW); conv2d then reduces to a matmul with the
-/// (C*KH*KW, OC) reshaped weight.
+/// (N*OH*OW, C*KH*KW): row r holds the taps conv2d reduces for output
+/// position r. Conv2d::backward consumes it.
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 /// Fold an im2col-shaped gradient back onto the NCHW input (adjoint of
 /// im2col); used by Conv2d::backward.
