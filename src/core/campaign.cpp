@@ -78,6 +78,18 @@ bool shard_owns(int64_t ti, int shards, int shard_index) {
   return shards <= 1 || ti % shards == shard_index;
 }
 
+/// Whether a campaign over `cfg` injects at `site`: the layer filter, and
+/// no metadata campaign on a value-only format.
+bool campaigned(const LayerSite& site, const CampaignConfig& cfg) {
+  if (!cfg.layers.empty() &&
+      std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
+          cfg.layers.end()) {
+    return false;
+  }
+  return cfg.site != InjectionSite::kMetadata ||
+         site.act_format->has_metadata();
+}
+
 /// Per-trial observations captured by the worker that ran the trial.
 /// Workers write disjoint slots; the sequential post-block section turns
 /// them into "trial" records and histogram samples in ascending trial
@@ -166,35 +178,32 @@ void apply_resume(CampaignProgress& fresh, const CampaignProgress& saved) {
 
 }  // namespace
 
-CampaignProgress run_campaign_trials(nn::Module& model,
-                                     const data::Batch& batch,
-                                     const CampaignConfig& cfg,
-                                     const CampaignRunOptions& opts) {
+/// Everything a CampaignSession prepares once. Declaration order is
+/// teardown order reversed: the plans (which key on replica modules) go
+/// before the worker contexts, whose emulators restore the models.
+struct CampaignSession::State {
+  data::Batch batch;  ///< O(1) share of the caller's batch
+  CampaignConfig cfg;
+  std::vector<WorkerCtx> ctxs;
+  nn::ReplayPlan plan0;
+  GoldenRun golden;
+  std::vector<nn::ReplayPlan> rplans;
+  bool cache_on = false;
+  /// Campaigned layers, as indices into the primary emulator's sites().
+  std::vector<size_t> layer_sites;
+};
+
+CampaignSession::CampaignSession(nn::Module& model, const data::Batch& batch,
+                                 const CampaignConfig& cfg)
+    : state_(std::make_unique<State>()) {
   obs::AttrScope campaign_attr(cfg.format_spec, "");
-  obs::Span campaign_span("campaign", "run_campaign", cfg.format_spec);
-  if (opts.shards < 1 || opts.shard_index < 0 ||
-      opts.shard_index >= opts.shards) {
-    throw std::invalid_argument(
-        "run_campaign_trials: shard_index must be in [0, shards)");
-  }
-  if (opts.checkpoint_every < 0 || opts.abort_after < 0) {
-    throw std::invalid_argument(
-        "run_campaign_trials: checkpoint_every/abort_after must be >= 0");
-  }
-  if ((opts.checkpoint_every > 0 || opts.abort_after > 0) &&
-      opts.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "run_campaign_trials: checkpointing requires a checkpoint_path");
-  }
   if (cfg.sites_per_trial < 1) {
     throw std::invalid_argument(
-        "run_campaign_trials: sites_per_trial must be >= 1");
+        "CampaignSession: sites_per_trial must be >= 1");
   }
-  if (opts.lease_hi >= 0 && (opts.lease_lo < 0 || opts.lease_lo > opts.lease_hi)) {
-    throw std::invalid_argument(
-        "run_campaign_trials: lease range must satisfy 0 <= lease_lo <= "
-        "lease_hi");
-  }
+  State& s = *state_;
+  s.batch = batch;
+  s.cfg = cfg;
   model.eval();
   EmulatorConfig ecfg;
   ecfg.format_spec = cfg.format_spec;
@@ -203,13 +212,14 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   // BEFORE the primary is instrumented: quantisation is not idempotent (an
   // int8 scale recomputed from already-quantised data differs), so copying
   // after attach would double-quantise the replicas.
-  const int64_t nT = cfg.injections_per_layer;
   int nctx = 1;
   if (cfg.make_replica) {
     nctx = std::clamp<int64_t>(
-        std::min<int64_t>(parallel::num_threads(), nT), 1, 64);
+        std::min<int64_t>(parallel::num_threads(), cfg.injections_per_layer),
+        1, 64);
   }
-  std::vector<WorkerCtx> ctxs(static_cast<size_t>(nctx));
+  std::vector<WorkerCtx>& ctxs = s.ctxs;
+  ctxs.resize(static_cast<size_t>(nctx));
   ctxs[0].model = &model;
   for (int w = 1; w < nctx; ++w) {
     ctxs[static_cast<size_t>(w)].owned = cfg.make_replica();
@@ -233,7 +243,6 @@ CampaignProgress run_campaign_trials(nn::Module& model,
         std::make_unique<Injector>(*ctxs[static_cast<size_t>(w)].emu,
                                    cfg.seed);
   }
-  Emulator& emu = *ctxs[0].emu;
 
   // Golden reference *under emulation* (fault-free but format-quantised):
   // faults are measured against the format's own clean behaviour. The
@@ -245,34 +254,82 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   // forward cost), so trials can replay only the suffix from their
   // injection site. The cached tensors are golden state: any in-place
   // write during a trial detaches via copy-on-write because the plan holds
-  // a share, so the cache can never be corrupted.
-  nn::ReplayPlan plan0;
-  const GoldenRun golden = [&] {
+  // a share, so the cache can never be corrupted — nor can a run leave
+  // anything behind for the session's next run.
+  {
     obs::Span golden_span("campaign", "golden_run");
-    return run_golden(model, batch, cfg.use_prefix_cache ? &plan0 : nullptr);
-  }();
-  const bool cache_on = cfg.use_prefix_cache && plan0.usable();
-  if (cfg.use_prefix_cache && !cache_on) {
+    s.golden = run_golden(model, s.batch,
+                          cfg.use_prefix_cache ? &s.plan0 : nullptr);
+  }
+  s.cache_on = cfg.use_prefix_cache && s.plan0.usable();
+  if (cfg.use_prefix_cache && !s.cache_on) {
     obs::log(1,
              "campaign: prefix cache unusable (a module ran more than once "
              "in the golden forward); falling back to full forwards");
   }
-  std::vector<nn::ReplayPlan> rplans;
-  if (cache_on) {
+  if (s.cache_on) {
     obs::add(obs::Counter::kPrefixCacheBytes,
-             static_cast<uint64_t>(plan0.cache_bytes()));
-    ctxs[0].plan = &plan0;
+             static_cast<uint64_t>(s.plan0.cache_bytes()));
+    ctxs[0].plan = &s.plan0;
     // Replica plans re-key the primary's records onto each replica's
     // module tree; the cached tensors themselves are shared, not copied.
-    rplans.reserve(static_cast<size_t>(nctx - 1));
+    s.rplans.reserve(static_cast<size_t>(nctx - 1));
     for (int w = 1; w < nctx; ++w) {
-      rplans.push_back(plan0.translate(model, *ctxs[static_cast<size_t>(w)]
-                                                   .model));
+      s.rplans.push_back(
+          s.plan0.translate(model, *ctxs[static_cast<size_t>(w)].model));
     }
     for (int w = 1; w < nctx; ++w) {
-      ctxs[static_cast<size_t>(w)].plan = &rplans[static_cast<size_t>(w - 1)];
+      ctxs[static_cast<size_t>(w)].plan =
+          &s.rplans[static_cast<size_t>(w - 1)];
     }
   }
+
+  // Enumerate the campaigned sites. Skipped sites still advance the site
+  // index, keeping each layer's RNG streams stable under cfg.layers
+  // filtering — and stable across save/resume/shard boundaries, since the
+  // index is persisted per layer.
+  const std::vector<LayerSite>& sites = ctxs[0].emu->sites();
+  for (size_t li = 0; li < sites.size(); ++li) {
+    if (campaigned(sites[li], cfg)) s.layer_sites.push_back(li);
+  }
+}
+
+CampaignSession::~CampaignSession() = default;
+
+int64_t CampaignSession::layer_count() const {
+  return static_cast<int64_t>(state_->layer_sites.size());
+}
+
+CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
+  const CampaignConfig& cfg = state_->cfg;
+  const data::Batch& batch = state_->batch;
+  std::vector<WorkerCtx>& ctxs = state_->ctxs;
+  const int nctx = static_cast<int>(ctxs.size());
+  const nn::ReplayPlan& plan0 = state_->plan0;
+  const GoldenRun& golden = state_->golden;
+  const bool cache_on = state_->cache_on;
+  Emulator& emu = *ctxs[0].emu;
+  obs::AttrScope campaign_attr(cfg.format_spec, "");
+  if (opts.shards < 1 || opts.shard_index < 0 ||
+      opts.shard_index >= opts.shards) {
+    throw std::invalid_argument(
+        "CampaignSession::run: shard_index must be in [0, shards)");
+  }
+  if (opts.checkpoint_every < 0 || opts.abort_after < 0) {
+    throw std::invalid_argument(
+        "CampaignSession::run: checkpoint_every/abort_after must be >= 0");
+  }
+  if ((opts.checkpoint_every > 0 || opts.abort_after > 0) &&
+      opts.checkpoint_path.empty()) {
+    throw std::invalid_argument(
+        "CampaignSession::run: checkpointing requires a checkpoint_path");
+  }
+  if (opts.lease_hi >= 0 && (opts.lease_lo < 0 || opts.lease_lo > opts.lease_hi)) {
+    throw std::invalid_argument(
+        "CampaignSession::run: lease range must satisfy 0 <= lease_lo <= "
+        "lease_hi");
+  }
+  const int64_t nT = cfg.injections_per_layer;
 
   CampaignProgress prog;
   prog.format_spec = cfg.format_spec;
@@ -292,25 +349,11 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   prog.golden_digest =
       fnv1a(kFnv1aBasis, golden.logits.cdata(),
             static_cast<size_t>(golden.logits.numel()) * sizeof(float));
-
-  // Enumerate the campaigned sites. Skipped sites still advance the site
-  // index, keeping each layer's RNG streams stable under cfg.layers
-  // filtering — and stable across save/resume/shard boundaries, since the
-  // index is persisted per layer.
-  for (size_t li = 0; li < emu.sites().size(); ++li) {
-    const LayerSite& site = emu.sites()[li];
-    if (!cfg.layers.empty() &&
-        std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
-            cfg.layers.end()) {
-      continue;
-    }
-    if (cfg.site == InjectionSite::kMetadata &&
-        !site.act_format->has_metadata()) {
-      continue;  // value-only formats have no metadata campaign
-    }
+  prog.layers.reserve(state_->layer_sites.size());
+  for (size_t li : state_->layer_sites) {
     LayerProgress lp;
     lp.site_index = li;
-    lp.path = site.path;
+    lp.path = emu.sites()[li].path;
     lp.done.assign(static_cast<size_t>(nT), 0);
     lp.outcomes.assign(static_cast<size_t>(nT), FaultOutcome{});
     prog.layers.push_back(std::move(lp));
@@ -326,7 +369,7 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   if (leased &&
       opts.lease_hi > static_cast<int64_t>(prog.layers.size()) * nT) {
     throw std::invalid_argument(
-        "run_campaign_trials: lease_hi " + std::to_string(opts.lease_hi) +
+        "CampaignSession::run: lease_hi " + std::to_string(opts.lease_hi) +
         " exceeds the campaign's " +
         std::to_string(static_cast<int64_t>(prog.layers.size()) * nT) +
         " trials");
@@ -641,6 +684,15 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   return prog;
 }
 
+CampaignProgress run_campaign_trials(nn::Module& model,
+                                     const data::Batch& batch,
+                                     const CampaignConfig& cfg,
+                                     const CampaignRunOptions& opts) {
+  obs::AttrScope campaign_attr(cfg.format_spec, "");
+  obs::Span campaign_span("campaign", "run_campaign", cfg.format_spec);
+  return CampaignSession(model, batch, cfg).run(opts);
+}
+
 int64_t owned_trials_remaining(const CampaignProgress& progress) {
   int64_t n = 0;
   for (const LayerProgress& l : progress.layers) {
@@ -659,23 +711,12 @@ int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg) {
   model.eval();
   EmulatorConfig ecfg;
   ecfg.format_spec = cfg.format_spec;
-  // Same enumeration filters as run_campaign_trials; the Emulator restores
-  // the model on destruction, so this is a read-only probe.
+  // Same enumeration filter as CampaignSession; the Emulator restores the
+  // model on destruction, so this is a read-only probe.
   Emulator emu(model, ecfg);
-  int64_t n = 0;
-  for (const LayerSite& site : emu.sites()) {
-    if (!cfg.layers.empty() &&
-        std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
-            cfg.layers.end()) {
-      continue;
-    }
-    if (cfg.site == InjectionSite::kMetadata &&
-        !site.act_format->has_metadata()) {
-      continue;
-    }
-    ++n;
-  }
-  return n;
+  return std::count_if(
+      emu.sites().begin(), emu.sites().end(),
+      [&](const LayerSite& site) { return campaigned(site, cfg); });
 }
 
 CampaignResult finalize_campaign(const CampaignProgress& progress) {

@@ -137,7 +137,7 @@ struct CampaignProgress {
   bool complete() const { return completed_trials() == total_trials(); }
 };
 
-/// Execution options for run_campaign_trials.
+/// Execution options for CampaignSession::run and run_campaign_trials.
 struct CampaignRunOptions {
   /// Write a checkpoint to `checkpoint_path` after every this-many newly
   /// executed trials (0 = never checkpoint).
@@ -177,8 +177,46 @@ struct CampaignRunOptions {
   obs::RunLog* run_log = nullptr;
 };
 
-/// Run (part of) a campaign and return its persistent state. Covers the
-/// whole checkpoint/resume/shard space; run_campaign is the simple
+/// One campaign, prepared once and run any number of times. Construction
+/// does everything a run does not select: the worker replicas (given the
+/// model's weights before anything is instrumented), their emulators and
+/// injectors, the golden run, the golden-prefix ReplayPlan and its
+/// per-replica translations, and the list of campaigned layers. Each run()
+/// then executes the trials its options select — a shard, a lease range,
+/// what a resume left — exactly as a fresh run_campaign_trials call
+/// would, so runs over disjoint selections merge bitwise-identically to
+/// one uninterrupted run. The service daemon's executor and every worker
+/// hold one session per campaign and run each lease through it.
+///
+/// `model` stays instrumented (and the caller must not use it) until the
+/// session is destroyed, which restores it. The session keeps its own O(1)
+/// share of `batch` and a copy of `cfg`.
+class CampaignSession {
+ public:
+  CampaignSession(nn::Module& model, const data::Batch& batch,
+                  const CampaignConfig& cfg);
+  ~CampaignSession();
+
+  CampaignSession(const CampaignSession&) = delete;
+  CampaignSession& operator=(const CampaignSession&) = delete;
+
+  /// Validate `opts`, then build a fresh progress (config echo, golden
+  /// accuracy and digest), apply any resume, and run the selected trials.
+  /// Not reentrant.
+  CampaignProgress run(const CampaignRunOptions& opts);
+
+  /// Campaigned layers: the trial space holds
+  /// layer_count() * injections_per_layer trials.
+  int64_t layer_count() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// Run (part of) a campaign and return its persistent state: one
+/// CampaignSession(model, batch, cfg).run(opts). Covers the whole
+/// checkpoint/resume/shard/lease space; run_campaign is the simple
 /// wrapper `finalize_campaign(run_campaign_trials(m, b, cfg, {}))`.
 CampaignProgress run_campaign_trials(nn::Module& model,
                                      const data::Batch& batch,
@@ -190,9 +228,8 @@ int64_t owned_trials_remaining(const CampaignProgress& progress);
 
 /// Number of layers a campaign over (model, cfg) would run: instruments
 /// the model (restored on return, like run_campaign) and applies the same
-/// site-enumeration filters. The service daemon uses this to size a
-/// campaign's lease table (total trials = layers * injections_per_layer)
-/// without executing anything.
+/// site-enumeration filters, without a golden run. A CampaignSession
+/// already knows its count (layer_count()).
 int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg);
 
 /// Aggregate a complete progress into per-layer statistics. The

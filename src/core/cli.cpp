@@ -323,13 +323,15 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-models::TrainedModel prepare_model(const ParsedArgs& p,
-                                   const data::SyntheticVision& data) {
+/// The --model network from the --cache weights (trained and cached on a
+/// miss). Commands that only evaluate it pair it with a dataset of just the
+/// test images they slice (data::eval_config).
+std::unique_ptr<nn::Module> prepare_model(const ParsedArgs& p) {
   models::TrainConfig tc;
   tc.epochs = get_int(p, "epochs", 6);
-  return models::ensure_trained(get(p, "model", "simple_cnn"), data,
-                                get(p, "cache", "/tmp/goldeneye_model_cache"),
-                                tc);
+  return models::load_or_train(get(p, "model", "simple_cnn"),
+                               get(p, "cache", "/tmp/goldeneye_model_cache"),
+                               tc);
 }
 
 /// Standard first report row: what ran, with what inputs, on how many
@@ -360,9 +362,9 @@ int cmd_accuracy(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   }
   const int64_t samples = get_int(p, "samples", 256);
   write_run_header(log, p, spec, samples);
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
-  auto tm = prepare_model(p, data);
-  GoldenEye eye(*tm.model, data);
+  const auto model = prepare_model(p);
+  const data::SyntheticVision data{data::eval_config(samples)};
+  GoldenEye eye(*model, data);
   const float baseline = eye.baseline_accuracy(samples);
   const float accuracy = eye.format_accuracy(spec, samples);
   out << "model:    " << get(p, "model", "simple_cnn") << "\n"
@@ -510,8 +512,8 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   write_run_header(log, p, cfg.format_spec, samples,
                    p.options.count("resume") != 0);
 
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
-  auto tm = prepare_model(p, data);
+  const auto model = prepare_model(p);
+  const data::SyntheticVision data{data::eval_config(samples)};
   const auto batch = data::take(data.test(), 0, samples);
   // Replica factory lets trials fan out across pool workers; weights are
   // copied from the trained primary, so the init seed here is irrelevant.
@@ -531,7 +533,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     ropts.resume_from = &*resumed;
   }
 
-  const CampaignProgress prog = run_campaign_trials(*tm.model, batch, cfg, ropts);
+  const CampaignProgress prog = run_campaign_trials(*model, batch, cfg, ropts);
   if (!ropts.checkpoint_path.empty()) {
     io::save_campaign_progress(ropts.checkpoint_path, prog);
   }
@@ -730,12 +732,12 @@ int cmd_dse(const ParsedArgs& p, std::ostream& out, std::ostream& err,
       static_cast<float>(get_num(p, "threshold", 0.01));
   const int64_t samples = get_int(p, "samples", 256);
   write_run_header(log, p, cfg.family, samples);
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
-  auto tm = prepare_model(p, data);
+  const auto model = prepare_model(p);
+  const data::SyntheticVision data{data::eval_config(samples)};
   const auto batch = data::take(data.test(), 0, samples);
   DseResult r;
   try {
-    r = run_dse(*tm.model, batch, cfg);
+    r = run_dse(*model, batch, cfg);
   } catch (const std::invalid_argument& e) {
     err << "dse: " << e.what() << "\n";
     return 2;
@@ -812,22 +814,22 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   const int64_t samples = get_int(p, "samples", 64);
   write_run_header(log, p, spec, samples);
 
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
-  auto tm = prepare_model(p, data);
-  tm.model->eval();
+  const auto model = prepare_model(p);
+  model->eval();
+  const data::SyntheticVision data{data::eval_config(samples)};
   const auto batch = data::take(data.test(), 0, samples);
 
   std::optional<Emulator> emu;
   if (spec != "native") {
     EmulatorConfig cfg;
     cfg.format_spec = spec;
-    emu.emplace(*tm.model, cfg);
+    emu.emplace(*model, cfg);
   }
 
   // Warmup pass: trains the arena freelists and faults pages in so the
   // timed loop measures steady state; the reset below discards its spans
   // (and the model-preparation ones) from the attribution.
-  (void)(*tm.model)(batch.images);
+  (void)(*model)(batch.images);
   obs::reset_all();
   arena::reset_peak_live_bytes();
 
@@ -835,7 +837,7 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   for (int64_t i = 0; i < iterations; ++i) {
     obs::AttrScope attr(spec, "");
     obs::Span span("profile", "forward");
-    (void)(*tm.model)(batch.images);
+    (void)(*model)(batch.images);
   }
   const double wall_ns = std::chrono::duration<double, std::nano>(
                              std::chrono::steady_clock::now() - t0)

@@ -46,6 +46,13 @@ void standardise(Tensor& t) {
 
 }  // namespace
 
+SyntheticVisionConfig eval_config(int64_t count) {
+  SyntheticVisionConfig cfg;
+  cfg.train_count = 0;
+  if (count >= 0 && count < cfg.test_count) cfg.test_count = count;
+  return cfg;
+}
+
 SyntheticVision::SyntheticVision(SyntheticVisionConfig cfg)
     : cfg_(cfg) {
   if (cfg_.num_classes < 2 || cfg_.channels < 1 || cfg_.image_size < 4) {
@@ -63,6 +70,9 @@ SyntheticVision::SyntheticVision(SyntheticVisionConfig cfg)
     standardise(p);
     prototypes_.push_back(std::move(p));
   }
+  // Each split draws from its own fork, so the test images do not depend
+  // on train_count, and a shorter test split is a prefix of a longer one
+  // (what eval_config relies on).
   Rng train_rng = rng.fork();
   Rng test_rng = rng.fork();
   train_ = generate_split(cfg_.train_count, train_rng);

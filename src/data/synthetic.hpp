@@ -28,6 +28,13 @@ struct SyntheticVisionConfig {
   uint64_t seed = 0xC0FFEE;
 };
 
+/// The default dataset cut down for runs that read only its first `count`
+/// test images: no train split, and `count` test images (the whole default
+/// test split when `count` is negative or larger). The test split draws
+/// from its own forked stream, so these are bitwise the first `count`
+/// images and labels of the default test split.
+SyntheticVisionConfig eval_config(int64_t count);
+
 /// A materialised split: images (N, C, H, W) and integer labels.
 struct Split {
   Tensor images;

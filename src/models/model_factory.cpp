@@ -100,25 +100,55 @@ float evaluate_accuracy(nn::Module& model, const data::Split& split,
   return static_cast<float>(correct) / static_cast<float>(split.size());
 }
 
+namespace {
+
+std::string cache_path(const std::string& name,
+                       const data::SyntheticVisionConfig& data_cfg,
+                       const std::string& cache_dir) {
+  return cache_dir + "/" + name + "_seed" + std::to_string(data_cfg.seed) +
+         ".gew";
+}
+
+/// Build `name` and load its cached weights, in eval mode, without
+/// evaluating anything; nullptr when the cache has no entry for it.
+std::unique_ptr<nn::Module> load_cached(
+    const std::string& name, const data::SyntheticVisionConfig& data_cfg,
+    const std::string& cache_dir) {
+  const std::string path = cache_path(name, data_cfg, cache_dir);
+  if (!std::filesystem::exists(path)) return nullptr;
+  auto model = make_model(name, data_cfg, /*seed=*/42);
+  model->load_weights(path);
+  model->eval();
+  return model;
+}
+
+}  // namespace
+
 TrainedModel ensure_trained(const std::string& name,
                             const data::SyntheticVision& data,
                             const std::string& cache_dir,
                             const TrainConfig& cfg) {
   TrainedModel out;
-  out.model = make_model(name, data.config(), /*seed=*/42);
-  std::filesystem::create_directories(cache_dir);
-  const std::string path = cache_dir + "/" + name + "_seed" +
-                           std::to_string(data.config().seed) + ".gew";
-  if (std::filesystem::exists(path)) {
-    out.model->load_weights(path);
-    out.model->eval();
+  out.model = load_cached(name, data.config(), cache_dir);
+  if (out.model != nullptr) {
     out.test_accuracy = evaluate_accuracy(*out.model, data.test());
     return out;
   }
+  out.model = make_model(name, data.config(), /*seed=*/42);
+  std::filesystem::create_directories(cache_dir);
   const TrainResult r = train_model(*out.model, data, cfg);
-  out.model->save_weights(path);
+  out.model->save_weights(cache_path(name, data.config(), cache_dir));
   out.test_accuracy = r.test_accuracy;
   return out;
+}
+
+std::unique_ptr<nn::Module> load_or_train(const std::string& name,
+                                          const std::string& cache_dir,
+                                          const TrainConfig& cfg) {
+  auto model = load_cached(name, data::SyntheticVisionConfig{}, cache_dir);
+  if (model != nullptr) return model;
+  const data::SyntheticVision data{data::SyntheticVisionConfig{}};
+  return ensure_trained(name, data, cache_dir, cfg).model;
 }
 
 }  // namespace ge::models

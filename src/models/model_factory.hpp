@@ -55,4 +55,11 @@ TrainedModel ensure_trained(const std::string& name,
                             const std::string& cache_dir,
                             const TrainConfig& cfg = {});
 
+/// `name` trained on the default synthetic dataset, for runs that only
+/// evaluate it: the cached weights when present (no dataset is built and
+/// no accuracy pass runs), else ensure_trained on the full dataset.
+std::unique_ptr<nn::Module> load_or_train(const std::string& name,
+                                          const std::string& cache_dir,
+                                          const TrainConfig& cfg = {});
+
 }  // namespace ge::models

@@ -125,8 +125,7 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
   chan.send(FrameType::kHello,
             encode_hello({HelloMsg::kRoleWorker, opts.client_name}));
 
-  // One prepared campaign kept warm across consecutive leases of the same
-  // campaign (model load + golden probe are the expensive parts).
+  // The prepared campaign (model, batch and session), keyed by campaign id.
   std::optional<std::pair<uint64_t, PreparedCampaign>> cached;
   int64_t executed = 0;
   int64_t dropped = 0;
@@ -213,22 +212,26 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
                              std::to_string(grant.lo) + "-" +
                                  std::to_string(grant.hi));
 
-        if (!cached.has_value() || cached->first != grant.campaign_id) {
-          cached.emplace(grant.campaign_id,
-                         prepare_campaign(grant.spec, opts.cache_dir));
-        }
-        PreparedCampaign& prep = cached->second;
-
-        // Renew the lease while the trials run; the campaign thread owns
-        // the channel reads, the heartbeat thread only sends (the channel
-        // serializes writers).
-        std::atomic<bool> hb_stop{false};
-        std::thread hb([&] {
+        // Renew the lease from the grant on, prepare included: a prepare
+        // that must train (cold cache) or shares a busy pool can outlast
+        // the lease timeout, and a lease lost there is re-run and its
+        // result discarded. The campaign thread owns the channel reads,
+        // the heartbeat thread only sends (the channel serializes
+        // writers). The guard joins it on every exit path.
+        struct Heartbeat {
+          std::atomic<bool> stop{false};
+          std::thread thread;
+          ~Heartbeat() {
+            stop.store(true, std::memory_order_relaxed);
+            if (thread.joinable()) thread.join();
+          }
+        } hb;
+        hb.thread = std::thread([&] {
           const int interval =
               std::max<int>(1, static_cast<int>(grant.heartbeat_ms));
           for (;;) {
-            sleep_ms_interruptible(interval, hb_stop);
-            if (hb_stop.load(std::memory_order_relaxed)) return;
+            sleep_ms_interruptible(interval, hb.stop);
+            if (hb.stop.load(std::memory_order_relaxed)) return;
             try {
               chan.send(FrameType::kHeartbeat,
                         encode_heartbeat(
@@ -239,37 +242,34 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
           }
         });
 
-        int rc = 0;
-        try {
-          LineFrameStream row_stream(chan);
-          obs::RunLog row_log(row_stream);
-          core::CampaignRunOptions ropts;
-          ropts.model_name = grant.spec.model_name;
-          ropts.eval_samples = grant.spec.samples;
-          ropts.lease_lo = static_cast<int64_t>(grant.lo);
-          ropts.lease_hi = static_cast<int64_t>(grant.hi);
-          ropts.run_log = &row_log;
-          core::CampaignProgress part = core::run_campaign_trials(
-              *prep.trained.model, prep.batch, prep.cfg, ropts);
-          LeaseResultMsg res;
-          res.campaign_id = grant.campaign_id;
-          res.lease_id = grant.lease_id;
-          res.progress = io::encode_campaign_progress(part);
-          chan.send(FrameType::kLeaseResult, encode_lease_result(res));
-          ++executed;
-          out << "worker: completed lease " << grant.lease_id << " ["
-              << grant.lo << "," << grant.hi << ")\n";
-        } catch (...) {
-          hb_stop.store(true, std::memory_order_relaxed);
-          hb.join();
-          throw;
+        // One prepared campaign, and so one session, for every lease of
+        // the same campaign.
+        if (!cached.has_value() || cached->first != grant.campaign_id) {
+          cached.reset();
+          cached.emplace(grant.campaign_id,
+                         prepare_campaign(grant.spec, opts.cache_dir));
         }
-        hb_stop.store(true, std::memory_order_relaxed);
-        hb.join();
+        LineFrameStream row_stream(chan);
+        obs::RunLog row_log(row_stream);
+        core::CampaignRunOptions ropts;
+        ropts.model_name = grant.spec.model_name;
+        ropts.eval_samples = grant.spec.samples;
+        ropts.lease_lo = static_cast<int64_t>(grant.lo);
+        ropts.lease_hi = static_cast<int64_t>(grant.hi);
+        ropts.run_log = &row_log;
+        const core::CampaignProgress part = cached->second.session->run(ropts);
+        LeaseResultMsg res;
+        res.campaign_id = grant.campaign_id;
+        res.lease_id = grant.lease_id;
+        res.progress = io::encode_campaign_progress(part);
+        chan.send(FrameType::kLeaseResult, encode_lease_result(res));
+        ++executed;
+        out << "worker: completed lease " << grant.lease_id << " ["
+            << grant.lo << "," << grant.hi << ")\n";
         if (opts.max_leases > 0 && executed >= opts.max_leases) {
           out << "worker: lease budget reached, exiting after " << executed
               << " leases\n";
-          return rc;
+          return 0;
         }
         break;
       }

@@ -41,7 +41,7 @@ struct HelloMsg {
 
 /// Everything the server (or a leased worker) needs to reconstruct a
 /// campaign bitwise: the CLI-level campaign parameters. Model weights are
-/// NOT shipped — both sides call models::ensure_trained against their
+/// NOT shipped — both sides load (or, on a miss, train) them from their
 /// cache dir, and deterministic synthetic training plus the golden-digest
 /// tripwire in merge/resume guarantee (or detect) weight agreement.
 struct CampaignSpecMsg {

@@ -1,7 +1,7 @@
 // ge::net::LeaseTable — work-stealing partition of one campaign's trial
 // space. The trial space [0, total) is cut into fixed-size chunks; any
 // executor (the server's own, or a remote worker) leases the next chunk,
-// runs it via run_campaign_trials{lease_lo, lease_hi}, and returns the
+// runs it via CampaignSession::run{lease_lo, lease_hi}, and returns the
 // resulting CampaignProgress part. Because every trial is a pure function
 // of (seed, site index, trial index), it does not matter who runs which
 // chunk or in what order — the merged parts are bitwise identical to an

@@ -19,10 +19,6 @@ namespace {
 
 int64_t now_ns() { return obs::now_ns(); }
 
-void sleep_ms(int ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
 /// Straggler sweeps are cheap but run from heartbeat handlers and the
 /// executor's poll loop; once per 250ms fleet-wide is plenty.
 constexpr int64_t kStragglerSweepIntervalNs = 250 * 1000000ll;
@@ -350,6 +346,7 @@ void Server::serve_worker(std::shared_ptr<FrameChannel> chan,
   const auto abandon_all = [&] {
     for (auto& [campaign, lease_id] : held) {
       if (campaign->leases.abandon(lease_id)) {
+        campaign->signal_lease_event();
         log_event("lease_abandoned", who, campaign->id,
                   static_cast<int64_t>(lease_id));
       }
@@ -443,12 +440,19 @@ void Server::serve_worker(std::shared_ptr<FrameChannel> chan,
         }
         // complete() is the reclaim gate: false means this lease expired
         // and its range was re-leased — a duplicate result that would
-        // break merge's disjointness, so it is dropped.
+        // break merge's disjointness, so it is dropped. The part lands
+        // under the same lock as the completion, so an executor that sees
+        // all_done() and then merges (under c->mu) always finds it.
         LeaseInfo done_info;
-        if (c->leases.complete(res.lease_id, now_ns(), &done_info)) {
-          note_lease_complete(done_info);
+        bool accepted = false;
+        {
           std::lock_guard<std::mutex> lock(c->mu);
-          c->parts.push_back(std::move(part));
+          accepted = c->leases.complete(res.lease_id, now_ns(), &done_info);
+          if (accepted) c->parts.push_back(std::move(part));
+        }
+        if (accepted) {
+          c->signal_lease_event();
+          note_lease_complete(done_info);
           log_event("lease_result", who, c->id,
                     static_cast<int64_t>(res.lease_id));
         } else {
@@ -583,6 +587,8 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
   }
   obs::Span exec_span("net", "execute", "campaign_" + std::to_string(c->id));
   try {
+    // One session for the whole campaign: every lease the executor runs
+    // reuses its replicas, emulators, golden run and replay plans.
     PreparedCampaign prep = prepare_campaign(c->spec, opts_.cache_dir);
     const int64_t chunk =
         opts_.lease_chunk > 0
@@ -630,17 +636,20 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
         ropts.lease_lo = l.lo;
         ropts.lease_hi = l.hi;
         ropts.run_log = &row_log;
-        core::CampaignProgress part = core::run_campaign_trials(
-            *prep.trained.model, prep.batch, prep.cfg, ropts);
+        core::CampaignProgress part = prep.session->run(ropts);
         LeaseInfo done_info;
         c->leases.complete(l.id, now_ns(), &done_info);
         note_lease_complete(done_info);
         std::lock_guard<std::mutex> lock(c->mu);
         c->parts.push_back(std::move(part));
       } else {
-        // Everything is leased out to workers: wait for results (or for a
-        // reclaim to put a range back on the queue).
-        sleep_ms(20);
+        // Everything is leased out to workers: sleep until one of their
+        // leases completes or is abandoned, or until the 20 ms tick of the
+        // reclaim, straggler and drain sweeps above.
+        std::unique_lock<std::mutex> lock(c->mu);
+        c->lease_cv.wait_for(lock, std::chrono::milliseconds(20),
+                             [&] { return c->lease_event; });
+        c->lease_event = false;
       }
     }
     if (checkpointed) return;

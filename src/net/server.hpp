@@ -102,6 +102,18 @@ class Server {
     LeaseTable leases;
     std::mutex mu;
     std::vector<core::CampaignProgress> parts;
+    /// The executor, with every range leased out, waits here (under mu)
+    /// for a worker lease to complete or be abandoned.
+    std::condition_variable lease_cv;
+    bool lease_event = false;  ///< under mu; cleared by the executor
+    /// Wake the executor after a worker lease completed or was abandoned.
+    void signal_lease_event() {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        lease_event = true;
+      }
+      lease_cv.notify_all();
+    }
     std::string submitter;   ///< hello identity, for /status
     int64_t enqueue_ns = 0;  ///< queue-wait span start (steady clock)
     /// Last straggler sweep (rate limit; sweeps run on session threads

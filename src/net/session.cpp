@@ -5,6 +5,7 @@
 
 #include "core/injector.hpp"
 #include "formats/format_registry.hpp"
+#include "models/model_factory.hpp"
 #include "obs/telemetry.hpp"
 
 namespace ge::net {
@@ -117,24 +118,26 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
   }
 
   PreparedCampaign out;
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
   models::TrainConfig tc;
   tc.epochs = spec.epochs;
   try {
-    out.trained = models::ensure_trained(spec.model_name, data, cache_dir, tc);
+    out.model = models::load_or_train(spec.model_name, cache_dir, tc);
   } catch (const std::exception& e) {
     throw NetError("campaign spec: cannot prepare model '" +
                    spec.model_name + "': " + e.what());
   }
+  // More samples than the default test split fail in take, as offline.
+  const data::SyntheticVision data{data::eval_config(spec.samples)};
   out.batch = data::take(data.test(), 0, spec.samples);
   const std::string model_name = spec.model_name;
   cfg.make_replica = [model_name]() {
     return models::make_model(model_name, data::SyntheticVisionConfig{}, 0);
   };
-  out.total_trials =
-      core::count_campaign_layers(*out.trained.model, cfg) *
-      cfg.injections_per_layer;
   out.cfg = std::move(cfg);
+  out.session =
+      std::make_unique<core::CampaignSession>(*out.model, out.batch, out.cfg);
+  out.total_trials =
+      out.session->layer_count() * out.cfg.injections_per_layer;
   return out;
 }
 

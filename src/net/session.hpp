@@ -7,19 +7,22 @@
 //    Reads don't: every channel has exactly one reader thread.
 //  - LineFrameStream: an ostream whose every '\n'-terminated line leaves
 //    as one kLogRow frame. Wrapping it in obs::RunLog(std::ostream&)
-//    turns run_campaign_trials' report stream into live row streaming —
+//    turns a campaign run's report stream into live row streaming —
 //    the rows on the wire are the exact bytes an offline --report run
 //    would have written.
-//  - prepare_campaign: CampaignSpecMsg -> ready-to-run model, batch and
-//    CampaignConfig. The spec's trace context rides along untouched:
-//    callers that want their spans in the submit client's trace install
-//    an obs::TraceContextScope from spec.trace_id/parent_span_id first
-//    (telemetry only — results are bitwise independent of tracing).
-//    The server's executor and every worker call this
-//    against their own cache dir; deterministic synthetic training makes
-//    the weights bitwise identical across processes, and the
-//    golden-digest check in merge_campaign_progress turns any divergence
-//    into a diagnosed error instead of silently mixed statistics.
+//  - prepare_campaign: CampaignSpecMsg -> model, batch, CampaignConfig
+//    and the CampaignSession every lease of the campaign runs through.
+//    It loads only what a campaign reads: the cached weights and the
+//    first `samples` test images (a cache miss trains first). The spec's
+//    trace context rides along untouched: callers that want their spans
+//    in the submit client's trace install an obs::TraceContextScope from
+//    spec.trace_id/parent_span_id first (telemetry only — results are
+//    bitwise independent of tracing). The server's executor and every
+//    worker call this once per campaign against their own cache dir;
+//    deterministic synthetic training makes the weights bitwise identical
+//    across processes, and the golden-digest check in
+//    merge_campaign_progress turns any divergence into a diagnosed error
+//    instead of silently mixed statistics.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +36,6 @@
 
 #include "core/campaign.hpp"
 #include "data/dataloader.hpp"
-#include "models/model_factory.hpp"
 #include "net/codec.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -93,19 +95,22 @@ class LineFrameStream : public std::ostream {
 };
 
 /// A campaign reconstructed from its wire spec: trained model, evaluation
-/// batch, and the CampaignConfig (with replica factory) ready for
-/// run_campaign_trials.
+/// batch, the CampaignConfig (with replica factory), and the session that
+/// holds the model instrumented — run trials through `session`, not on
+/// `model`. The session is declared after the model, so it restores the
+/// model before the model goes.
 struct PreparedCampaign {
-  models::TrainedModel trained;
+  std::unique_ptr<nn::Module> model;
   data::Batch batch;
   core::CampaignConfig cfg;
+  std::unique_ptr<core::CampaignSession> session;
   int64_t total_trials = 0;  ///< campaigned layers * injections_per_layer
 };
 
 /// Validate `spec` and build the campaign exactly as `goldeneye campaign`
 /// would (same model cache contract, same replica factory, same batch
-/// slice). Throws NetError on an invalid spec — bad format string, out of
-/// range site/error-model byte, unknown model name.
+/// slice), session included. Throws NetError on an invalid spec — bad
+/// format string, out of range site/error-model byte, unknown model name.
 PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
                                   const std::string& cache_dir);
 

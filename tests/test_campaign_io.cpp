@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -327,6 +328,128 @@ TEST(CampaignMerge, PartialMergeCanBeResumedToCompletion) {
       run_campaign_trials(*g.model, g.batch, cfg, ropts);
   EXPECT_TRUE(full.complete());
   EXPECT_EQ(campaign_digest(finalize_campaign(full)), campaign_digest(want));
+}
+
+// --- one session, many runs -------------------------------------------------
+
+/// Campaign kinds a session must keep bitwise-stable across runs: a value
+/// site, a metadata site, a weight site (each corrupted weight must be
+/// back before the next run) and multi-point trials.
+std::vector<CampaignConfig> session_cfgs() {
+  std::vector<CampaignConfig> cfgs(4, campaign_cfg());
+  cfgs[1].format_spec = "bfp_e5m5_b16";
+  cfgs[1].site = InjectionSite::kMetadata;
+  cfgs[2].format_spec = "int8";
+  cfgs[2].site = InjectionSite::kWeightValue;
+  cfgs[3].sites_per_trial = 2;
+  return cfgs;
+}
+
+std::string label(const CampaignConfig& cfg) {
+  return cfg.format_spec + " site=" + to_string(cfg.site) +
+         " sites/trial=" + std::to_string(cfg.sites_per_trial) +
+         " cache=" + (cfg.use_prefix_cache ? "on" : "off") +
+         " threads=" + std::to_string(parallel::num_threads());
+}
+
+bool same_parameters(nn::Module& a, nn::Module& b) {
+  const auto pa = a.parameters();
+  const auto pb = b.parameters();
+  if (pa.size() != pb.size()) return false;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (!pa[i]->value.equals(pb[i]->value)) return false;
+  }
+  return true;
+}
+
+TEST(CampaignSessionTest, DisjointLeaseRunsMergeToTheSingleRun) {
+  ThreadGuard guard;
+  const auto pristine = models::make_model("simple_cnn", small_cfg(), 3);
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (bool cache : {true, false}) {
+      for (CampaignConfig cfg : session_cfgs()) {
+        cfg.use_prefix_cache = cache;
+        Fixture single;
+        const uint64_t want =
+            campaign_digest(run_campaign(*single.model, single.batch, cfg));
+
+        Fixture f;
+        std::vector<CampaignProgress> parts;
+        {
+          CampaignSession session(*f.model, f.batch, cfg);
+          ASSERT_EQ(session.layer_count(),
+                    count_campaign_layers(*single.model, cfg));
+          const int64_t total =
+              session.layer_count() * cfg.injections_per_layer;
+          // Uneven cuts, one of them inside a layer.
+          const std::vector<int64_t> cuts = {0, 1, total / 3, total / 2 + 1,
+                                             total};
+          for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+            CampaignRunOptions opts;
+            opts.lease_lo = cuts[i];
+            opts.lease_hi = cuts[i + 1];
+            parts.push_back(session.run(opts));
+            EXPECT_EQ(parts.back().completed_trials(), cuts[i + 1] - cuts[i]);
+            parts.back().shard_index = static_cast<int>(i);
+          }
+        }
+        const CampaignProgress merged = merge_campaign_progress(parts);
+        ASSERT_TRUE(merged.complete()) << label(cfg);
+        EXPECT_EQ(campaign_digest(finalize_campaign(merged)), want)
+            << label(cfg);
+        // The session restored the model it instrumented.
+        EXPECT_TRUE(same_parameters(*f.model, *pristine)) << label(cfg);
+      }
+    }
+  }
+}
+
+TEST(CampaignSessionTest, SameRangeTwiceIsBitwiseEqual) {
+  ThreadGuard guard;
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (const CampaignConfig& cfg : session_cfgs()) {
+      Fixture f;
+      CampaignSession session(*f.model, f.batch, cfg);
+      CampaignRunOptions opts;
+      opts.lease_lo = 2;
+      opts.lease_hi = session.layer_count() * cfg.injections_per_layer - 3;
+      const CampaignProgress a = session.run(opts);
+      const CampaignProgress b = session.run(opts);
+      EXPECT_EQ(a.completed_trials(), opts.lease_hi - opts.lease_lo);
+      EXPECT_EQ(io::encode_campaign_progress(a),
+                io::encode_campaign_progress(b))
+          << label(cfg);
+    }
+  }
+}
+
+TEST(CampaignSessionTest, AbortThenResumeOnOneSessionMatchesSingleRun) {
+  ThreadGuard guard;
+  const CampaignConfig cfg = campaign_cfg();
+  const std::string path = tmp_path("session_resume");
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    Fixture single;
+    const CampaignResult want = run_campaign(*single.model, single.batch, cfg);
+
+    Fixture f;
+    CampaignSession session(*f.model, f.batch, cfg);
+    CampaignRunOptions opts;
+    opts.checkpoint_every = 2;
+    opts.checkpoint_path = path;
+    opts.abort_after = 7;  // mid-layer, mid-block
+    const CampaignProgress partial = session.run(opts);
+    EXPECT_FALSE(partial.complete());
+    CampaignRunOptions ropts;
+    ropts.resume_from = &partial;
+    const CampaignProgress full = session.run(ropts);
+    EXPECT_TRUE(full.complete());
+    EXPECT_EQ(campaign_digest(finalize_campaign(full)), campaign_digest(want))
+        << "threads=" << threads;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CampaignRunOptionsTest, InvalidOptionsAreRejected) {

@@ -70,6 +70,26 @@ TEST(SyntheticVision, RejectsDegenerateConfig) {
   EXPECT_THROW(data::SyntheticVision{cfg}, std::invalid_argument);
 }
 
+TEST(SyntheticVision, TestOnlySplitIsAPrefixOfTheDefaultTestSplit) {
+  const data::SyntheticVision full{data::SyntheticVisionConfig{}};
+  for (int64_t k : {1, 16, 512}) {
+    data::SyntheticVisionConfig cfg;
+    cfg.train_count = 0;
+    cfg.test_count = k;
+    const data::SyntheticVision cut(cfg);
+    EXPECT_EQ(cut.train().size(), 0);
+    ASSERT_EQ(cut.test().size(), k);
+    const data::Batch want = data::take(full.test(), 0, k);
+    EXPECT_TRUE(cut.test().images.equals(want.images)) << "k=" << k;
+    EXPECT_EQ(cut.test().labels, want.labels) << "k=" << k;
+    // eval_config is this cut; out-of-range counts keep the whole split.
+    EXPECT_EQ(data::eval_config(k).train_count, 0);
+    EXPECT_EQ(data::eval_config(k).test_count, k);
+  }
+  EXPECT_EQ(data::eval_config(513).test_count, full.test().size());
+  EXPECT_EQ(data::eval_config(-1).test_count, full.test().size());
+}
+
 TEST(DataLoader, CoversWholeSplitOnce) {
   data::SyntheticVision d(small_config());
   data::DataLoader loader(d.train(), 50);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -481,8 +482,7 @@ uint64_t offline_digest(const CampaignSpecMsg& spec) {
   core::CampaignRunOptions opts;
   opts.model_name = spec.model_name;
   opts.eval_samples = spec.samples;
-  const core::CampaignProgress prog = core::run_campaign_trials(
-      *prep.trained.model, prep.batch, prep.cfg, opts);
+  const core::CampaignProgress prog = prep.session->run(opts);
   return core::campaign_digest(core::finalize_campaign(prog));
 }
 
@@ -504,8 +504,7 @@ TEST(LeasePartition, ArbitraryPartitionMergesBitwiseIdentical) {
     opts.eval_samples = spec.samples;
     opts.lease_lo = lo;
     opts.lease_hi = hi;
-    parts.push_back(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                              prep.cfg, opts));
+    parts.push_back(prep.session->run(opts));
     EXPECT_EQ(parts.back().completed_trials(), hi - lo);
   }
   // Same relabelling the server's merge path uses: each part becomes one
@@ -526,14 +525,10 @@ TEST(LeasePartition, BoundsAreValidated) {
   core::CampaignRunOptions opts;
   opts.lease_lo = 0;
   opts.lease_hi = prep.total_trials + 1;  // beyond the trial space
-  EXPECT_THROW(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                         prep.cfg, opts),
-               std::invalid_argument);
+  EXPECT_THROW(prep.session->run(opts), std::invalid_argument);
   opts.lease_lo = 5;
   opts.lease_hi = 3;  // inverted
-  EXPECT_THROW(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                         prep.cfg, opts),
-               std::invalid_argument);
+  EXPECT_THROW(prep.session->run(opts), std::invalid_argument);
 }
 
 // --- loopback end to end ---------------------------------------------------
@@ -614,7 +609,7 @@ TEST(ServeLoopback, ServedDigestMatchesOfflineAtOneAndFourThreads) {
     opts.model_name = spec.model_name;
     opts.eval_samples = spec.samples;
     opts.run_log = &offline_log;
-    core::run_campaign_trials(*prep.trained.model, prep.batch, prep.cfg, opts);
+    prep.session->run(opts);
   }
 
   const ServedRun r1 = serve_and_submit(spec, ServeOptions{});
@@ -685,6 +680,46 @@ TEST(ServeLoopback, KilledWorkerLeaseIsReclaimedAndDigestStillMatches) {
       << worker_out.str();
   EXPECT_NE(slog.str().find("lease_abandoned"), std::string::npos)
       << slog.str();
+}
+
+TEST(ServeLoopback, ColdCacheWorkerKeepsItsLeaseThroughPrepare) {
+  // A worker with its own empty cache must train before it can run its
+  // first lease, which takes far longer than the lease timeout. Heartbeats
+  // from the grant on keep that lease alive: nothing is reclaimed, the
+  // worker's result is the one merged, and served == offline.
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  CampaignSpecMsg spec = e2e_spec();
+  spec.prefix_cache = 0;
+  spec.injections_per_layer = 24;  // a long lease queue: the worker joins
+  const uint64_t offline = offline_digest(spec);
+  const std::string cold_cache = "/tmp/ge_test_net_cold_cache";
+  std::filesystem::remove_all(cold_cache);
+
+  obs::TelemetryScope metrics(/*tracing=*/false, /*metrics=*/true);
+  obs::reset_counters();
+  ServeOptions sopts;
+  sopts.lease_chunk = 1;
+  sopts.lease_timeout_ms = 500;  // training takes seconds
+  std::ostringstream worker_out, worker_err;
+  const ServedRun r = serve_and_submit(spec, sopts, nullptr, [&](int port) {
+    WorkerOptions w;
+    w.port = port;
+    w.cache_dir = cold_cache;
+    w.poll_ms = 1;
+    w.idle_timeout_ms = 60000;  // backstop; kShutdown arrives first
+    try {
+      run_worker(w, worker_out, worker_err);
+    } catch (const std::exception& e) {
+      worker_err << e.what();
+    }
+  });
+  ASSERT_EQ(r.code, 0) << r.out;
+  EXPECT_EQ(parse_digest(r.out), offline);
+  EXPECT_NE(worker_out.str().find("completed lease"), std::string::npos)
+      << worker_out.str() << worker_err.str();
+  EXPECT_EQ(obs::counter_value(obs::Counter::kNetLeaseReclaims), 0u);
+  std::filesystem::remove_all(cold_cache);
 }
 
 std::string http_get(int port, const std::string& path) {
