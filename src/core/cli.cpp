@@ -86,6 +86,19 @@ int64_t get_int(const ParsedArgs& p, const std::string& key,
   return value;
 }
 
+/// --samples for the commands that slice the synthetic test split: a value
+/// the split cannot provide is a usage error, caught before any model is
+/// prepared.
+int64_t get_samples(const ParsedArgs& p, int64_t fallback) {
+  const int64_t samples = get_int(p, "samples", fallback);
+  const int64_t limit = data::SyntheticVisionConfig{}.test_count;
+  if (samples < 1 || samples > limit) {
+    throw UsageError("--samples must be in [1, " + std::to_string(limit) +
+                     "]");
+  }
+  return samples;
+}
+
 /// As get_int for real-valued options (e.g. --threshold).
 double get_num(const ParsedArgs& p, const std::string& key, double fallback) {
   const auto it = p.options.find(key);
@@ -474,7 +487,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   if (cfg.sites_per_trial < 1) {
     throw UsageError("--sites-per-trial must be >= 1");
   }
-  const int64_t samples = get_int(p, "samples", 16);
+  const int64_t samples = get_samples(p, 16);
 
   // Persistence / sharding options (DESIGN.md §9). All misuse is a
   // UsageError so scripts can rely on exit 2 for their own mistakes.
@@ -730,7 +743,7 @@ int cmd_dse(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   cfg.family = get(p, "family", "fp");
   cfg.accuracy_drop_threshold =
       static_cast<float>(get_num(p, "threshold", 0.01));
-  const int64_t samples = get_int(p, "samples", 256);
+  const int64_t samples = get_samples(p, 256);
   write_run_header(log, p, cfg.family, samples);
   const auto model = prepare_model(p);
   const data::SyntheticVision data{data::eval_config(samples)};
@@ -811,7 +824,7 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     explicit PerfToggle(bool on) { obs::perf::set_enabled(on); }
     ~PerfToggle() { obs::perf::set_enabled(true); }
   } perf_toggle(perf_opt == "on");
-  const int64_t samples = get_int(p, "samples", 64);
+  const int64_t samples = get_samples(p, 64);
   write_run_header(log, p, spec, samples);
 
   const auto model = prepare_model(p);
@@ -1022,7 +1035,7 @@ net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
   net::CampaignSpecMsg spec;
   spec.model_name = get(p, "model", "simple_cnn");
   spec.epochs = get_int(p, "epochs", 6);
-  spec.samples = get_int(p, "samples", 16);
+  spec.samples = get_samples(p, 16);
   spec.format_spec = get(p, "format", "");
   if (!fmt::is_valid_spec(spec.format_spec)) {
     throw UsageError("bad or missing --format");

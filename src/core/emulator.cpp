@@ -7,7 +7,6 @@
 #include "nn/loss.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::core {
 
@@ -118,11 +117,7 @@ void Emulator::attach() {
                                             y.cdata(), y.numel(),
                                             s.act_format->abs_max());
             } else {
-              // Addressed as a (whole-tensor) view: dense_full() routes to
-              // the tensor kernel, so this is bitwise the classic path —
-              // and the same call shape region-granular emulation uses.
-              TensorView yview(y);
-              s.act_format->quantize_view_inplace(yview);
+              s.act_format->quantize_tensor_inplace(y);
             }
             if (post_quant_) post_quant_(s, y);
           });

@@ -47,12 +47,6 @@ void AfpFormat::set_bias_offset(int offset) {
   rounder_ = make_rounder();
 }
 
-Tensor AfpFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void AfpFormat::quantize_tensor_inplace(Tensor& t) {
   // Adaptive step: move the representable range onto the data, as far as
   // the offset register allows.
@@ -78,19 +72,6 @@ void AfpFormat::quantize_tensor_inplace(Tensor& t) {
     for (int64_t i = lo; i < hi; ++i) p[i] = quantize_value(p[i]);
   });
   obs::record_quantization(last_vals_.data(), p, n, abs_max());
-}
-
-void AfpFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  // The adaptive bias offset and the persistent-register replay capture
-  // (last_vals_) are defined over the view's element sequence; the gather
-  // fallback computes both on the dense image and scatters the quantised
-  // values back — bitwise what a strided pass would produce, since the
-  // bias reduction and per-element rounding see identical values.
-  quantize_view_gather(v);
 }
 
 BitString AfpFormat::real_to_format(float value) const {

@@ -43,9 +43,7 @@ class AfpFormat : public NumberFormat {
   AfpFormat(int exp_bits, int man_bits)
       : AfpFormat(exp_bits, man_bits, Options{}) {}
 
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   BitString real_to_format(float value) const override;
   float format_to_real(const BitString& bits) const override;
 

@@ -45,16 +45,12 @@ float BfpFormat::decode_code(int32_t signed_mag, int se) const {
   return std::ldexp(static_cast<float>(signed_mag), se + 1 - man_bits_);
 }
 
-Tensor BfpFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void BfpFormat::quantize_tensor_inplace(Tensor& t) {
   const int64_t n = t.numel();
   effective_block_ = (block_size_ == 0) ? n : block_size_;
-  const int64_t nblocks = (n + effective_block_ - 1) / effective_block_;
+  // An empty tensor has zero blocks (and, for _btensor, a zero block size).
+  const int64_t nblocks =
+      n == 0 ? 0 : (n + effective_block_ - 1) / effective_block_;
   shared_exp_.assign(static_cast<size_t>(nblocks), -bias_);
   last_codes_.assign(static_cast<size_t>(n), 0);
   last_shape_ = t.shape();
@@ -107,19 +103,6 @@ void BfpFormat::quantize_tensor_inplace(Tensor& t) {
     // counter tracks format-range saturation only.
     obs::record_quantization(before.cdata(), p, n, abs_max());
   }
-}
-
-void BfpFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  // Blocks are defined over the *view-linear* element sequence (block b =
-  // view elements [b*B, (b+1)*B)), exactly as a materialized copy would
-  // block them — so gather -> tensor kernel -> scatter IS the strided
-  // semantics, and shared_exp_/last_codes_ afterwards answer view-indexed
-  // real_to_format_at / format_to_real_at queries.
-  quantize_view_gather(v);
 }
 
 BitString BfpFormat::real_to_format(float value) const {

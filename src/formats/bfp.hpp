@@ -25,9 +25,7 @@ class BfpFormat : public NumberFormat {
   /// size of 0 means "whole tensor is one block" (per-layer sharing).
   BfpFormat(int exp_bits, int man_bits, int64_t block_size);
 
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   /// Context-free scalar methods use a shared exponent of 0 (documented
   /// limitation: a BFP element's bits alone do not determine its value —
   /// that is the point of metadata). Use the *_at variants after a tensor

@@ -42,25 +42,11 @@ FloatFormat::FloatFormat(int exp_bits, int man_bits, Options opt)
   }
 }
 
-Tensor FloatFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void FloatFormat::quantize_tensor_inplace(Tensor& t) {
   // Fast tensorised path: one fused in-place pass, no bitstring
   // materialisation. Value-only format (no tensor-level metadata), so
   // elements quantize independently and the loop chunks across threads.
   elementwise_inplace(t, [this](float x) { return quantize_value(x); });
-}
-
-void FloatFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  view_elementwise_inplace(v, [this](float x) { return quantize_value(x); });
 }
 
 BitString FloatFormat::real_to_format(float value) const {

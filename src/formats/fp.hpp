@@ -25,9 +25,7 @@ class FloatFormat : public NumberFormat {
       : FloatFormat(exp_bits, man_bits, Options{}) {}
 
   /// --- the GoldenEye 4-method API ---------------------------------------
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   BitString real_to_format(float value) const override;
   float format_to_real(const BitString& bits) const override;
 

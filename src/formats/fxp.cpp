@@ -35,23 +35,9 @@ FxpFormat::FxpFormat(int int_bits, int frac_bits)
                static_cast<float>(std::ldexp(1.0, int_bits)),
                /*overflow_to_inf=*/false) {}
 
-Tensor FxpFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void FxpFormat::quantize_tensor_inplace(Tensor& t) {
   // Value-only format: elements quantize independently (see FloatFormat).
   elementwise_inplace(t, [this](float x) { return quantize_value(x); });
-}
-
-void FxpFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  view_elementwise_inplace(v, [this](float x) { return quantize_value(x); });
 }
 
 BitString FxpFormat::real_to_format(float value) const {

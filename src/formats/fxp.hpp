@@ -13,9 +13,7 @@ class FxpFormat : public NumberFormat {
   /// int_bits >= 0, frac_bits >= 0, int_bits + frac_bits in [1, 62].
   FxpFormat(int int_bits, int frac_bits);
 
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   BitString real_to_format(float value) const override;
   float format_to_real(const BitString& bits) const override;
 

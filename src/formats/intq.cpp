@@ -28,12 +28,6 @@ void IntFormat::set_range(float max_abs_value) {
   fixed_range_ = true;
 }
 
-Tensor IntFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void IntFormat::quantize_tensor_inplace(Tensor& t) {
   if (!fixed_range_) {
     const float mx = ops::max_abs(t);
@@ -62,42 +56,6 @@ void IntFormat::quantize_tensor_inplace(Tensor& t) {
     obs::record_quantization(before.cdata(), p, n,
                              static_cast<double>(max_code_) * scale_);
   }
-}
-
-void IntFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  if (obs::metrics_enabled()) {
-    // record_quantization wants dense before/after images: take the gather
-    // path (bitwise equal — the scale reduction and the element rounding
-    // see the same values in the same order either way).
-    quantize_view_gather(v);
-    return;
-  }
-  // Zero-copy strided kernel. The scale (tensor metadata) and the code
-  // register file are captured over the view-linear element sequence, so
-  // real_to_format_at / format_to_real_at afterwards take view indices.
-  if (!fixed_range_) {
-    const float mx = ops::max_abs(v.as_const());
-    scale_ = (mx > 0.0f) ? mx / static_cast<float>(max_code_) : 1.0f;
-  }
-  const int64_t n = v.numel();
-  last_shape_ = v.shape();
-  last_codes_.assign(static_cast<size_t>(n), 0);
-  float* p = v.storage();
-  const float inv = 1.0f / scale_;
-  const auto cmin = static_cast<float>(-max_code_);
-  const auto cmax = static_cast<float>(max_code_);
-  parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const int64_t s = v.flat_offset(i);
-      const float code = std::clamp(std::nearbyintf(p[s] * inv), cmin, cmax);
-      last_codes_[static_cast<size_t>(i)] = static_cast<int32_t>(code);
-      p[s] = code * scale_;
-    }
-  });
 }
 
 BitString IntFormat::real_to_format(float value) const {

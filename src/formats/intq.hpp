@@ -20,9 +20,7 @@ class IntFormat : public NumberFormat {
   /// the paper's INT rows.
   explicit IntFormat(int bits);
 
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   BitString real_to_format(float value) const override;
   float format_to_real(const BitString& bits) const override;
 

@@ -53,28 +53,6 @@ NumberFormat::NumberFormat(std::string name, int bit_width)
   }
 }
 
-Tensor NumberFormat::format_to_real_tensor(const Tensor& t) const {
-  return t;  // values are already held as float32 reals on the fabric
-}
-
-void NumberFormat::quantize_tensor_inplace(Tensor& t) {
-  t = real_to_format_tensor(t);
-}
-
-void NumberFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  quantize_view_gather(v);
-}
-
-void NumberFormat::quantize_view_gather(TensorView& v) {
-  Tensor tmp = v.materialize();
-  quantize_tensor_inplace(tmp);
-  v.assign_from(tmp);
-}
-
 BitString NumberFormat::real_to_format_at(float value,
                                           int64_t /*flat_index*/) const {
   return real_to_format(value);

@@ -1,15 +1,16 @@
 // NumberFormat: the GoldenEye number-system API (paper §III-B).
 //
-// Every number system implements four pure-virtual methods:
+// The paper's four methods:
 //   1) Tensor    real_to_format_tensor(Tensor)   — bulk quantisation (fast)
-//   2) Tensor    format_to_real_tensor(Tensor)   — bulk decode (default: id)
+//   2) Tensor    format_to_real_tensor(Tensor)   — bulk decode (identity)
 //   3) BitString real_to_format(value)           — scalar encode (slow, exact)
 //   4) float     format_to_real(BitString)       — scalar decode
 //
 // Methods 1/2 are the tensorised fast path used during emulated inference;
 // methods 3/4 are the scalar bit-exact path used by the fault injector.
-// The emulator's hot path is quantize_tensor_inplace — method 1 expressed
-// as an in-place mutation so per-forward quantisation allocates nothing.
+// A format writes method 1 once, as the in-place kernel
+// quantize_tensor_inplace, so per-forward quantisation allocates nothing;
+// the base class provides both tensor methods on top of it.
 //
 // Formats additionally expose their *hardware metadata* — state that is
 // abstracted away in software but lives in real registers in an
@@ -26,7 +27,6 @@
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::fmt {
 
@@ -73,40 +73,27 @@ class NumberFormat {
   NumberFormat(const NumberFormat&) = default;
   NumberFormat& operator=(const NumberFormat&) = default;
 
-  /// Method 1 — quantise every element of a float32 tensor to the nearest
-  /// representable value of this format (result expressed back in float32,
-  /// the compute fabric's native type). May capture metadata.
-  virtual Tensor real_to_format_tensor(const Tensor& t) = 0;
+  /// Method 1, the one kernel a format writes: overwrite `t` with its
+  /// quantised image — every element rounded to the nearest representable
+  /// value of this format, expressed back in float32 (the compute fabric's
+  /// native type). May capture metadata. This is the emulator's
+  /// per-forward hot path: write through the tensor's own storage, with
+  /// zero allocation when `t` uniquely owns it.
+  virtual void quantize_tensor_inplace(Tensor& t) = 0;
 
-  /// Method 1, in place — overwrite `t` with its quantised image, with the
-  /// same metadata-capture semantics as real_to_format_tensor. This is the
-  /// emulator's per-forward hot path: the built-in formats override it to
-  /// write through the tensor's own storage with zero allocation. The
-  /// default bridges to real_to_format_tensor so third-party formats only
-  /// have to implement the classic method; a format that instead writes
-  /// real_to_format_tensor as a copy + in-place bridge MUST override this
-  /// method too, or the pair recurses.
-  virtual void quantize_tensor_inplace(Tensor& t);
+  /// Method 1 under its paper name: the quantised image of `t` as a new
+  /// tensor. An O(1) share plus the in-place kernel, whose first write
+  /// detaches, so `t` comes back untouched.
+  Tensor real_to_format_tensor(const Tensor& t) {
+    Tensor out = t;
+    quantize_tensor_inplace(out);
+    return out;
+  }
 
-  /// Method 1 over a strided window: quantise exactly the elements the
-  /// view addresses, treating them as one dense tensor in row-major view
-  /// order — metadata-bearing formats capture their registers (scale,
-  /// shared exponents, bias) over that element sequence, so
-  /// real_to_format_at/format_to_real_at afterwards take *view-linear*
-  /// indices. Elements of the owner outside the view are untouched.
-  ///
-  /// The dense fast path is mandatory and bit-exact: when the view covers
-  /// the whole owner in layout order (TensorView::dense_full), every
-  /// implementation MUST delegate to quantize_tensor_inplace(owner), so
-  /// whole-tensor callers migrating to views cannot perturb pinned
-  /// campaign digests. The default handles any format: dense delegation,
-  /// else materialize -> quantize -> scatter (quantize_view_gather).
-  virtual void quantize_view_inplace(TensorView& v);
-
-  /// Method 2 — decode a format-domain tensor back to real values. The
-  /// default is the identity, since method 1 already returns values on the
-  /// real axis (the paper's default implementation is a cast to float32).
-  virtual Tensor format_to_real_tensor(const Tensor& t) const;
+  /// Method 2 — decode a format-domain tensor back to real values: the
+  /// identity, since method 1 already returns values on the real axis (the
+  /// paper's default implementation is a cast to float32).
+  Tensor format_to_real_tensor(const Tensor& t) const { return t; }
 
   /// Method 3 — encode one value into its bit pattern under this format.
   virtual BitString real_to_format(float value) const = 0;
@@ -123,7 +110,7 @@ class NumberFormat {
 
   /// --- hardware metadata ------------------------------------------------
   virtual bool has_metadata() const { return false; }
-  /// Register families captured by the last real_to_format_tensor call.
+  /// Register families captured by the last tensor quantisation.
   virtual std::vector<MetadataField> metadata_fields() const { return {}; }
   /// Read register `index` of `field` as raw bits.
   virtual BitString read_metadata(const std::string& field,
@@ -169,33 +156,6 @@ class NumberFormat {
     if (obs::metrics_enabled()) {
       obs::record_quantization(before.cdata(), p, n, abs_max());
     }
-  }
-
-  /// Strided fallback for quantize_view_inplace: gather the view into a
-  /// dense scratch, run the format's own tensor kernel (metadata capture
-  /// included), scatter back. Correct for every format; the built-in
-  /// value-only formats override with a zero-copy strided kernel instead.
-  void quantize_view_gather(TensorView& v);
-
-  /// Strided sibling of elementwise_inplace for value-only formats: apply
-  /// `quant` to exactly the view's elements, chunked across threads over
-  /// the view-linear index space. Bitwise equal to the gather fallback
-  /// (quantisation is per-element), with zero allocation when metrics are
-  /// off; the metrics path routes through quantize_view_gather so
-  /// record_quantization sees dense before/after images.
-  template <typename F>
-  void view_elementwise_inplace(TensorView& v, F&& quant) {
-    if (obs::metrics_enabled()) {
-      quantize_view_gather(v);
-      return;
-    }
-    float* p = v.storage();  // any COW detach happens here, single-threaded
-    parallel::parallel_for(0, v.numel(), 4096, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        const int64_t s = v.flat_offset(i);
-        p[s] = quant(p[s]);
-      }
-    });
   }
 
   std::string name_;

@@ -123,24 +123,10 @@ float PositFormat::quantize_value(float x) const {
   return static_cast<float>(sign * vals[pick]);
 }
 
-Tensor PositFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void PositFormat::quantize_tensor_inplace(Tensor& t) {
   // Value-only format: elements quantize independently (table lookups are
   // read-only), so the loop chunks across threads.
   elementwise_inplace(t, [this](float x) { return quantize_value(x); });
-}
-
-void PositFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  view_elementwise_inplace(v, [this](float x) { return quantize_value(x); });
 }
 
 BitString PositFormat::real_to_format(float value) const {

@@ -32,9 +32,7 @@ class PositFormat : public NumberFormat {
   /// n in [3, 16], es in [0, 3].
   PositFormat(int n, int es);
 
-  Tensor real_to_format_tensor(const Tensor& t) override;
   void quantize_tensor_inplace(Tensor& t) override;
-  void quantize_view_inplace(TensorView& v) override;
   BitString real_to_format(float value) const override;
   float format_to_real(const BitString& bits) const override;
 

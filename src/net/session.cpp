@@ -80,8 +80,10 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
   if (spec.injections_per_layer < 1) {
     throw NetError("campaign spec: injections_per_layer must be >= 1");
   }
-  if (spec.samples < 1) {
-    throw NetError("campaign spec: samples must be >= 1");
+  const int64_t max_samples = data::SyntheticVisionConfig{}.test_count;
+  if (spec.samples < 1 || spec.samples > max_samples) {
+    throw NetError("campaign spec: samples must be in [1, " +
+                   std::to_string(max_samples) + "]");
   }
   if (spec.epochs < 1) {
     throw NetError("campaign spec: epochs must be >= 1");

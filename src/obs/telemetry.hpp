@@ -224,7 +224,7 @@ bool write_chrome_trace(const std::string& path);
 /// Fixed process-wide counters for the hot paths. Keep in sync with
 /// counter_name() in telemetry.cpp.
 enum class Counter : int {
-  kElementsQuantized = 0,  ///< elements through real_to_format_tensor
+  kElementsQuantized = 0,  ///< elements through quantize_tensor_inplace
   kSaturations,            ///< clamped/overflowed during quantization
   kNanInputs,              ///< NaN inputs seen by quantization
   kInfInputs,              ///< +-Inf inputs seen by quantization
@@ -284,8 +284,9 @@ void reset_gauges();
 /// Scan a bulk-quantisation result and bump the quantization counters:
 /// elements, NaN/Inf inputs, and saturation events (|out| clamped at the
 /// format's abs_max, or overflowed to Inf from a finite input). Called by
-/// every NumberFormat::real_to_format_tensor; no-op unless metrics are
-/// enabled, so the extra pass costs nothing in normal runs.
+/// every format's NumberFormat::quantize_tensor_inplace kernel; no-op
+/// unless metrics are enabled, so the extra pass costs nothing in normal
+/// runs.
 void record_quantization(const float* before, const float* after, int64_t n,
                          double abs_max);
 

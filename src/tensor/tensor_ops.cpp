@@ -132,35 +132,6 @@ float max_abs(const Tensor& a) {
   return m;
 }
 
-float sum(const ConstTensorView& v) {
-  double s = 0.0;  // double accumulator, view order: matches sum(Tensor)
-  const float* p = v.storage();
-  const int64_t n = v.numel();
-  for (int64_t i = 0; i < n; ++i) s += p[v.flat_offset(i)];
-  return static_cast<float>(s);
-}
-
-float max_abs(const ConstTensorView& v) {
-  float m = 0.0f;
-  const float* p = v.storage();
-  const int64_t n = v.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    m = std::max(m, std::fabs(p[v.flat_offset(i)]));
-  }
-  return m;
-}
-
-void map_view_inplace(TensorView& v, const std::function<float(float)>& f) {
-  float* p = v.storage();  // COW detach happens here, single-threaded
-  parallel::parallel_for(0, v.numel(), kElementGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             const int64_t s = v.flat_offset(i);
-                             p[s] = f(p[s]);
-                           }
-                         });
-}
-
 float min_value(const Tensor& a) {
   if (a.numel() == 0) throw std::invalid_argument("min of empty tensor");
   float m = std::numeric_limits<float>::infinity();

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "tensor/tensor.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::ops {
 
@@ -40,14 +39,6 @@ void map_inplace(Tensor& a, const std::function<float(float)>& f);
 float sum(const Tensor& a);
 float mean(const Tensor& a);
 float max_abs(const Tensor& a);
-/// Strided-view reductions: same element-order combine as the dense
-/// kernels, so a view and its materialized copy reduce bitwise equally.
-float sum(const ConstTensorView& v);
-float max_abs(const ConstTensorView& v);
-/// Strided elementwise map, in place through a mutable view (the COW
-/// detach fires once, before the parallel loop). Elements outside the
-/// view are untouched.
-void map_view_inplace(TensorView& v, const std::function<float(float)>& f);
 float min_value(const Tensor& a);
 float max_value(const Tensor& a);
 /// Row-wise argmax over the last dimension; returns indices, one per row.

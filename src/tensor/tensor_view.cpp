@@ -79,28 +79,6 @@ void gather(const float* base, int64_t offset, const Shape& shape,
   }
 }
 
-/// Scatter: the inverse of gather (dst strided, src dense).
-void scatter(float* base, int64_t offset, const Shape& shape,
-             const std::vector<int64_t>& strides, bool contiguous,
-             int64_t numel, const float* src) {
-  if (numel == 0) return;
-  if (contiguous) {
-    std::copy(src, src + numel, base + offset);
-    return;
-  }
-  const int64_t run =
-      (!shape.empty() && strides.back() == 1) ? shape.back() : 1;
-  const int64_t rows = numel / run;
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t dst = offset + unravel_dot(r * run, shape, strides);
-    if (run > 1) {
-      std::copy(src + r * run, src + (r + 1) * run, base + dst);
-    } else {
-      base[dst] = src[r];
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<int64_t> dense_strides(const Shape& shape) {
@@ -181,35 +159,9 @@ int64_t TensorView::size(int64_t d) const {
   return shape_[static_cast<size_t>(d)];
 }
 
-bool TensorView::dense_full() const noexcept {
-  return owner_ != nullptr && contiguous_ && offset_ == 0 &&
-         numel_ == owner_->numel();
-}
-
 int64_t TensorView::flat_offset(int64_t i) const {
   if (contiguous_) return offset_ + i;
   return offset_ + unravel_dot(i, shape_, strides_);
-}
-
-Tensor TensorView::materialize() const {
-  Tensor out(shape_);
-  gather(cstorage(), offset_, shape_, strides_, contiguous_, numel_,
-         out.data());
-  return out;
-}
-
-void TensorView::assign_from(const Tensor& src) {
-  if (src.shape() != shape_) {
-    throw std::invalid_argument("TensorView::assign_from: shape mismatch " +
-                                shape_to_string(src.shape()) + " vs " +
-                                shape_to_string(shape_));
-  }
-  scatter(storage(), offset_, shape_, strides_, contiguous_, numel_,
-          src.cdata());
-}
-
-ConstTensorView TensorView::as_const() const {
-  return ConstTensorView(*owner_, offset_, shape_, strides_);
 }
 
 // --- injection region factories --------------------------------------------

@@ -65,7 +65,6 @@ class ConstTensorView {
   void materialize_into(float* dst) const;
 
  private:
-  friend class TensorView;
   std::shared_ptr<const std::vector<float>> pin_;
   const float* base_ = nullptr;
   int64_t offset_ = 0;
@@ -91,10 +90,6 @@ class TensorView {
   const std::vector<int64_t>& strides() const noexcept { return strides_; }
   int64_t offset() const noexcept { return offset_; }
   bool contiguous() const noexcept { return contiguous_; }
-  /// True when the view covers the owner's storage exactly, in layout
-  /// order (contiguous, offset 0, every element) — the dense fast path:
-  /// code holding such a view may operate on the owner Tensor directly.
-  bool dense_full() const noexcept;
 
   Tensor& owner() noexcept { return *owner_; }
   const Tensor& owner() const noexcept { return *owner_; }
@@ -108,13 +103,6 @@ class TensorView {
   const float* cstorage() const noexcept { return owner_->cdata(); }
   float read(int64_t i) const { return cstorage()[flat_offset(i)]; }
   float& operator[](int64_t i) { return storage()[flat_offset(i)]; }
-
-  /// Gather the view into a dense Tensor of shape().
-  Tensor materialize() const;
-  /// Scatter a dense tensor (shape must equal shape()) back through the
-  /// view. COWs the owner once; elements outside the view are untouched.
-  void assign_from(const Tensor& src);
-  ConstTensorView as_const() const;
 
  private:
   void init(Tensor& t, int64_t offset, Shape shape,

@@ -170,6 +170,26 @@ TEST(Cli, BadNumericOptionIsUsageErrorNotCrash) {
   EXPECT_EQ(run({"campaign", "--format", "int8", "--injections", "12x"}).code,
             2);
   EXPECT_EQ(run({"dse", "--threshold", "lots"}).code, 2);
+
+  // --samples outside the synthetic test split [1, 512] is caught before
+  // any model is prepared, not deep in reshape/take.
+  const std::vector<std::vector<std::string>> out_of_split = {
+      {"campaign", "--format", "int8", "--samples", "0"},
+      {"campaign", "--format", "int8", "--samples", "-1"},
+      {"campaign", "--format", "int8", "--samples", "600"},
+      {"profile", "--samples", "0"},
+      {"profile", "--samples", "600"},
+      {"dse", "--samples", "600"},
+      {"submit", "--port", "1", "--format", "int8", "--samples", "0"},
+      {"submit", "--port", "1", "--format", "int8", "--samples", "513"},
+  };
+  for (const auto& args : out_of_split) {
+    const auto bad = run(args);
+    EXPECT_EQ(bad.code, 2) << args[0] << " " << args.back() << ": "
+                           << bad.err;
+    EXPECT_NE(bad.err.find("--samples"), std::string::npos)
+        << args[0] << " " << args.back();
+  }
 }
 
 TEST(Cli, UnknownOptionRejected) {

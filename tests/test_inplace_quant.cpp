@@ -3,10 +3,13 @@
 // value-returning real_to_format_tensor bridge, (b) write through the
 // existing buffer when the tensor uniquely owns it — the zero-allocation
 // hot path the emulator hook depends on — and (c) detach via COW when the
-// storage is shared, never corrupting the other owner.
+// storage is shared, never corrupting the other owner. A format that
+// writes only the in-place kernel gets both tensor methods from the base.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,13 +114,78 @@ TEST(InplaceQuant, HotLoopAvoidsCowAfterFirstPass) {
 }
 
 TEST(InplaceQuant, EmptyTensorIsANoOp) {
-  for (const auto& spec : kSpecs) {
-    if (spec == "bfp_e5m5_b16") continue;  // bfp requires a block multiple
+  std::vector<std::string> specs = kSpecs;
+  specs.push_back("bfp_e5m5_btensor");  // block size = numel = 0
+  for (const auto& spec : specs) {
     auto f = make_format(spec);
     Tensor t;
     EXPECT_NO_THROW(f->quantize_tensor_inplace(t)) << spec;
     EXPECT_EQ(t.numel(), 0) << spec;
   }
+}
+
+// --- the one-kernel contract (docs/adding_a_format.md) --------------------
+
+/// A format written the way docs/adding_a_format.md asks: method 1 only as
+/// the in-place kernel, plus the scalar, range and identity methods. Codes
+/// are 8-bit two's complement counts of 0.5.
+class HalfStepFormat : public NumberFormat {
+ public:
+  HalfStepFormat() : NumberFormat("half_step", 8) {}
+
+  void quantize_tensor_inplace(Tensor& t) override {
+    float* p = t.data();
+    for (int64_t i = 0; i < t.numel(); ++i) p[i] = quantize(p[i]);
+  }
+  BitString real_to_format(float value) const override {
+    const auto code = static_cast<int64_t>(quantize(value) * 2.0f);
+    return BitString(static_cast<uint64_t>(code) & 0xFFu, 8);
+  }
+  float format_to_real(const BitString& bits) const override {
+    return static_cast<float>(static_cast<int8_t>(bits.value())) * 0.5f;
+  }
+  double abs_max() const override { return 63.5; }
+  double abs_min() const override { return 0.5; }
+  std::string spec() const override { return "half_step"; }
+  std::unique_ptr<NumberFormat> clone() const override {
+    return std::make_unique<HalfStepFormat>(*this);
+  }
+
+ private:
+  static float quantize(float x) {
+    return std::clamp(std::nearbyint(x * 2.0f), -128.0f, 127.0f) * 0.5f;
+  }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.cdata(), b.cdata(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(OneKernelContract, BaseProvidesBothTensorMethods) {
+  HalfStepFormat f;
+  const Tensor input = test_input();
+  const Tensor out = f.real_to_format_tensor(input);
+
+  // Method 1 returns the kernel's image of the input, bitwise; each element
+  // is the scalar round trip of its input, and the quantiser did move some.
+  Tensor kernel_image = input.clone();
+  HalfStepFormat().quantize_tensor_inplace(kernel_image);
+  EXPECT_TRUE(same_bits(out, kernel_image));
+  Tensor scalar_image(input.shape());
+  for (int64_t i = 0; i < input.numel(); ++i) {
+    scalar_image.data()[i] =
+        f.format_to_real(f.real_to_format(input.cdata()[i]));
+  }
+  EXPECT_TRUE(out.equals(scalar_image));
+  EXPECT_FALSE(out.equals(input));
+  // The input comes back bitwise untouched, in storage of its own.
+  EXPECT_TRUE(same_bits(input, test_input()));
+  EXPECT_FALSE(out.shares_storage_with(input));
+
+  // Method 2 is the identity.
+  EXPECT_TRUE(same_bits(f.format_to_real_tensor(out), out));
 }
 
 // --- bulk codebook decode (the inverse direction) --------------------------

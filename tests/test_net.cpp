@@ -477,6 +477,23 @@ CampaignSpecMsg e2e_spec() {
   return s;
 }
 
+TEST(PrepareCampaign, SamplesOutsideTheTestSplitAreRefused) {
+  // The server re-validates a spec with the CLI's rules: the synthetic
+  // test split holds 512 images, so 0 and 513 are refused before any
+  // model is trained or loaded.
+  for (const int64_t samples : {int64_t{0}, int64_t{-1}, int64_t{513}}) {
+    CampaignSpecMsg spec = e2e_spec();
+    spec.samples = samples;
+    try {
+      (void)prepare_campaign(spec, kCacheDir);
+      ADD_FAILURE() << "samples " << samples << " was accepted";
+    } catch (const NetError& e) {
+      EXPECT_NE(std::string(e.what()).find("samples"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 uint64_t offline_digest(const CampaignSpecMsg& spec) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;

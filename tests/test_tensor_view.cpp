@@ -6,21 +6,13 @@
 //  - COW-through-view: a ConstTensorView observes capture-time values
 //    forever; a TensorView's first write detaches a shared owner exactly
 //    once and never corrupts the other share; reads never detach;
-//  - quantize_view_inplace: for EVERY format family, quantizing a strided
-//    view in place is elementwise identical to materializing the view,
-//    quantizing the dense copy, and scattering it back — and elements
-//    outside the view are untouched. (For metadata formats the view-linear
-//    element sequence *defines* the block/capture semantics, which is
-//    exactly what the materialized copy presents.)
-//  - dense_full delegation: a whole-tensor view routes to the tensor
-//    kernel bitwise — the emulator hook depends on this.
+//  - injection regions: channel_view/row_view map each activation rank to
+//    its channel and row windows.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 #include <vector>
 
-#include "formats/format_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -28,11 +20,6 @@
 
 namespace ge {
 namespace {
-
-// One spec per family: value-only, scaled, and metadata formats.
-const std::vector<std::string> kSpecs = {
-    "fp_e4m3", "fxp_1_4_3", "int8", "posit_8_1", "bfp_e5m5_b16", "afp_e4m3",
-};
 
 Tensor filled(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -70,17 +57,10 @@ TEST(ViewGeometry, FlatOffsetMapsRowMajorOrder) {
   }
 }
 
-TEST(ViewGeometry, ContiguousAndDenseFullDetection) {
+TEST(ViewGeometry, ContiguousDetection) {
   Tensor t = filled(24, 2);
   EXPECT_TRUE(ConstTensorView(t, 4, {2, 5}, {5, 1}).contiguous());
   EXPECT_FALSE(ConstTensorView(t, 4, {2, 5}, {10, 1}).contiguous());
-
-  TensorView whole(t);
-  EXPECT_TRUE(whole.dense_full());
-  TensorView offset_run(t, 1, {23}, {1});
-  EXPECT_FALSE(offset_run.dense_full());  // contiguous but not full
-  TensorView prefix(t, 0, {20}, {1});
-  EXPECT_FALSE(prefix.dense_full());  // full-start but not every element
 }
 
 TEST(ViewGeometry, ConstructionValidatesReachableRange) {
@@ -141,113 +121,6 @@ TEST(ViewCow, ReadsNeverDetach) {
   (void)sum;
   (void)v.cstorage();
   EXPECT_TRUE(t.shares_storage_with(original));
-}
-
-TEST(ViewCow, AssignFromScattersOnlyViewElements) {
-  Tensor t = filled(20, 8);
-  const Tensor before = t.clone();
-  TensorView v(t, 1, {3, 2}, {6, 3});
-  Tensor src({3, 2});
-  for (int64_t i = 0; i < 6; ++i) src.data()[i] = 100.0f + i;
-  v.assign_from(src);
-  for (int64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(t.cdata()[v.flat_offset(i)], 100.0f + i);
-  }
-  int64_t untouched = 0;
-  for (int64_t s = 0; s < 20; ++s) {
-    bool in_view = false;
-    for (int64_t i = 0; i < 6; ++i) in_view |= (v.flat_offset(i) == s);
-    if (!in_view) {
-      EXPECT_EQ(t.cdata()[s], before.cdata()[s]) << "storage index " << s;
-      ++untouched;
-    }
-  }
-  EXPECT_EQ(untouched, 14);
-}
-
-// --- quantize_view_inplace ------------------------------------------------
-
-// A random non-overlapping 2-D window: shape {4, 8} (32 elements — a
-// multiple of the bfp block so every spec can quantize it), inner stride
-// s2 >= 1, outer stride >= 8*s2 so no storage index repeats.
-struct RandomWindow {
-  int64_t offset;
-  Shape shape{4, 8};
-  std::vector<int64_t> strides;
-  int64_t span;  // minimal storage size
-};
-
-RandomWindow random_window(Rng& rng) {
-  RandomWindow w;
-  const int64_t s2 = rng.randint(1, 3);
-  const int64_t s1 = 8 * s2 + rng.randint(0, 5);
-  w.offset = rng.randint(0, 7);
-  w.strides = {s1, s2};
-  w.span = w.offset + 3 * s1 + 7 * s2 + 1;
-  return w;
-}
-
-TEST(ViewQuant, StridedViewMatchesMaterializedCopyAllFormats) {
-  for (const auto& spec : kSpecs) {
-    Rng rng(0x5eedULL);
-    for (int trial = 0; trial < 8; ++trial) {
-      const RandomWindow w = random_window(rng);
-      Tensor t = filled(w.span + 8, 100 + trial);
-      const Tensor before = t.clone();
-
-      // Reference: materialize the pre-quantization view, quantize the
-      // dense copy with a fresh instance (registers are per-instance).
-      Tensor ref = ConstTensorView(t, w.offset, w.shape, w.strides)
-                       .materialize();
-      fmt::make_format(spec)->quantize_tensor_inplace(ref);
-
-      TensorView v(t, w.offset, w.shape, w.strides);
-      fmt::make_format(spec)->quantize_view_inplace(v);
-
-      for (int64_t i = 0; i < v.numel(); ++i) {
-        EXPECT_EQ(v.read(i), ref.cdata()[i])
-            << spec << " trial " << trial << " element " << i;
-      }
-      // Everything outside the window is bitwise untouched.
-      for (int64_t s = 0; s < t.numel(); ++s) {
-        bool in_view = false;
-        for (int64_t i = 0; i < v.numel() && !in_view; ++i) {
-          in_view = (v.flat_offset(i) == s);
-        }
-        if (!in_view) {
-          EXPECT_EQ(t.cdata()[s], before.cdata()[s])
-              << spec << " trial " << trial << " storage " << s;
-        }
-      }
-    }
-  }
-}
-
-TEST(ViewQuant, DenseFullViewDelegatesBitwise) {
-  // The emulator hook addresses whole activation tensors as views; the
-  // dense fast path must route to the tensor kernel so classic campaign
-  // digests cannot depend on which entry point ran.
-  for (const auto& spec : kSpecs) {
-    Tensor via_view = filled(64, 9);
-    Tensor via_tensor = via_view.clone();
-    TensorView v(via_view);
-    ASSERT_TRUE(v.dense_full());
-    fmt::make_format(spec)->quantize_view_inplace(v);
-    fmt::make_format(spec)->quantize_tensor_inplace(via_tensor);
-    EXPECT_TRUE(via_view.equals(via_tensor)) << spec;
-  }
-}
-
-TEST(ViewQuant, SharedStorageDetachesAndPreservesSource) {
-  for (const auto& spec : kSpecs) {
-    Tensor t = filled(48, 10);
-    const Tensor original = t;  // O(1) share
-    TensorView v(t, 0, {32}, {1});
-    fmt::make_format(spec)->quantize_view_inplace(v);
-    EXPECT_FALSE(t.shares_storage_with(original)) << spec;
-    EXPECT_TRUE(original.equals(filled(48, 10)))
-        << spec << ": view quantization wrote through a shared buffer";
-  }
 }
 
 // --- injection region factories -------------------------------------------
