@@ -5,9 +5,9 @@
 //
 // Expected shape: flip and channel trials cost about one forward pass each
 // (channel touches more elements but injection is a rounding error next to
-// the forward), while ber_uniform pays a serial per-bit Bernoulli sweep
-// over the tensor — its trials/s floor is what motivates the documented
-// guidance to keep --ber campaigns on small layers or accept the cost.
+// the forward). ber_uniform draws one geometric gap per flip and encodes
+// only the hit elements, so its injection cost scales with the expected
+// number of flips, not with the tensor's bit count.
 // The JSON rows feed the CI perf gate (bench/baselines/inject_models.json).
 #include <cstdio>
 

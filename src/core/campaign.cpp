@@ -149,6 +149,10 @@ void apply_resume(CampaignProgress& fresh, const CampaignProgress& saved) {
   }
   if (!(saved.ber == fresh.ber)) fail("bit error rate");
   if (saved.burst_len != fresh.burst_len) fail("burst length");
+  if (uses_ber_sampler(fresh.model, fresh.ber) &&
+      saved.ber_sampler != fresh.ber_sampler) {
+    fail("ber draw order");
+  }
   if (saved.model_name != fresh.model_name) fail("model");
   if (saved.eval_samples != fresh.eval_samples) fail("sample count");
   // Bitwise: any change to weights, batch, or kernels shows up here. The
@@ -788,6 +792,10 @@ CampaignProgress merge_campaign_progress(
     }
     if (!(p.ber == merged.ber)) fail("bit error rate");
     if (p.burst_len != merged.burst_len) fail("burst length");
+    if (uses_ber_sampler(merged.model, merged.ber) &&
+        p.ber_sampler != merged.ber_sampler) {
+      fail("ber draw order");
+    }
     if (p.model_name != merged.model_name) fail("model");
     if (p.eval_samples != merged.eval_samples) fail("sample count");
     if (!(p.golden_accuracy == merged.golden_accuracy) ||

@@ -120,6 +120,10 @@ struct CampaignProgress {
   int sites_per_trial = 1;  ///< faults armed per trial (config echo)
   double ber = 0.0;         ///< zoo config echo (0 for classic models)
   int burst_len = 2;        ///< zoo config echo
+  /// Bernoulli sampler generation the trials were drawn with
+  /// (kBerSamplerGeneration; 1 in checkpoints that predate the field).
+  /// Resume/merge refuse a mismatch when uses_ber_sampler(model, ber).
+  int ber_sampler = kBerSamplerGeneration;
   std::string model_name;    ///< CLI echo (empty for library callers)
   int64_t eval_samples = 0;  ///< CLI echo of the evaluation batch size
   float golden_accuracy = 0.0f;

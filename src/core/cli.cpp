@@ -88,13 +88,16 @@ int64_t get_int(const ParsedArgs& p, const std::string& key,
 
 /// --samples for the commands that slice the synthetic test split: a value
 /// the split cannot provide is a usage error, caught before any model is
-/// prepared.
-int64_t get_samples(const ParsedArgs& p, int64_t fallback) {
+/// prepared. `all_allowed` also accepts -1, the whole split.
+int64_t get_samples(const ParsedArgs& p, int64_t fallback,
+                    bool all_allowed = false) {
   const int64_t samples = get_int(p, "samples", fallback);
+  if (all_allowed && samples == -1) return samples;
   const int64_t limit = data::SyntheticVisionConfig{}.test_count;
   if (samples < 1 || samples > limit) {
-    throw UsageError("--samples must be in [1, " + std::to_string(limit) +
-                     "]");
+    throw UsageError(std::string("--samples must be ") +
+                     (all_allowed ? "-1 (all) or " : "") + "in [1, " +
+                     std::to_string(limit) + "]");
   }
   return samples;
 }
@@ -373,7 +376,7 @@ int cmd_accuracy(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     err << "accuracy: bad or missing --format '" << spec << "'\n";
     return 2;
   }
-  const int64_t samples = get_int(p, "samples", 256);
+  const int64_t samples = get_samples(p, 256, /*all_allowed=*/true);
   write_run_header(log, p, spec, samples);
   const auto model = prepare_model(p);
   const data::SyntheticVision data{data::eval_config(samples)};
@@ -621,7 +624,7 @@ int cmd_train(const ParsedArgs& p, std::ostream& out, std::ostream& err,
               obs::RunLog* log) {
   const std::string save_path = get(p, "save", "");
   const std::string load_path = get(p, "load", "");
-  const int64_t samples = get_int(p, "samples", 256);
+  const int64_t samples = get_samples(p, 256);
   std::string model_name = get(p, "model", "simple_cnn");
   write_run_header(log, p, "native", samples);
   data::SyntheticVision data{data::SyntheticVisionConfig{}};

@@ -1,6 +1,7 @@
 #include "core/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -8,6 +9,36 @@
 #include "tensor/tensor_view.hpp"
 
 namespace ge::core {
+
+namespace {
+
+/// The Bernoulli-hit primitive behind ber_uniform and region thinning:
+/// calls hit(slot) in ascending order for each slot of [0, slots) that a
+/// Bernoulli(p) trial selects. Geometric gap sampling: the run of misses
+/// before the next hit is floor(ln u / ln(1 - p)), u a 53-bit double in
+/// (0, 1] from `engine`, so a sweep costs (hits + 1) draws, not one per
+/// slot. p >= 1 hits every slot without drawing.
+template <class Hit>
+void for_each_bernoulli_hit(std::mt19937_64& engine, int64_t slots,
+                            double p, Hit&& hit) {
+  if (p >= 1.0) {
+    for (int64_t s = 0; s < slots; ++s) hit(s);
+    return;
+  }
+  const double log_miss = std::log1p(-p);  // < 0; exact for tiny p
+  for (int64_t s = 0; s < slots; ++s) {
+    // Never 0: ln 0 = -inf would read as "no more hits".
+    const double u = static_cast<double>((engine() >> 11) + 1) * 0x1p-53;
+    const double gap = std::floor(std::log(u) / log_miss);
+    // Compared in double, so a gap past the end (up to +inf when p is
+    // tiny) never reaches the int64 conversion.
+    if (!(gap < static_cast<double>(slots - s))) return;
+    s += static_cast<int64_t>(gap);
+    hit(s);
+  }
+}
+
+}  // namespace
 
 const char* to_string(InjectionSite site) {
   switch (site) {
@@ -257,32 +288,37 @@ InjectionRecord Injector::apply_ber(const InjectionSpec& spec,
   rec.model = spec.model;
   rec.error_model = to_string(spec.model);
 
-  // Serial element-major, bit-minor Bernoulli sweep: the draw sequence is
-  // fixed by (numel, width) alone, so a trial reproduces bitwise no matter
-  // which thread runs it. Encode/decode only touches hit elements.
+  // Bernoulli hits over the element-major, bit-minor slot index (slot =
+  // element * width + bit), drawn from the trial stream alone, so a trial
+  // reproduces bitwise on any thread. Hits arrive in ascending slot order:
+  // an element's bits are complete once a later slot is hit, and only hit
+  // elements pay the encode/decode round trip.
   const int width = f.bit_width();
-  const int64_t n = y.numel();
-  const auto ber = static_cast<float>(spec.ber);
-  Rng& rng = draw_rng();
+  int64_t element = -1;
   std::vector<int> hit;
-  for (int64_t i = 0; i < n; ++i) {
-    hit.clear();
-    for (int b = 0; b < width; ++b) {
-      if (rng.uniform() < ber) hit.push_back(b);
-    }
-    if (hit.empty()) continue;
-    fmt::BitString bits = f.real_to_format_at(y[i], i);
+  const auto perturb_element = [&] {
+    fmt::BitString bits = f.real_to_format_at(y[element], element);
     perturb(bits, spec.model, hit);
-    const float before = y[i];
-    y[i] = f.format_to_real_at(bits, i);
+    const float before = y[element];
+    y[element] = f.format_to_real_at(bits, element);
     if (rec.affected == 0) {
-      rec.element = i;
+      rec.element = element;
       rec.bits = hit;
       rec.value_before = before;
-      rec.value_after = y[i];
+      rec.value_after = y[element];
     }
     ++rec.affected;
-  }
+  };
+  for_each_bernoulli_hit(draw_rng().engine(), y.numel() * width, spec.ber,
+                         [&](int64_t slot) {
+                           if (slot / width != element) {
+                             if (element >= 0) perturb_element();
+                             element = slot / width;
+                             hit.clear();
+                           }
+                           hit.push_back(static_cast<int>(slot % width));
+                         });
+  if (element >= 0) perturb_element();
   return rec;
 }
 
@@ -338,25 +374,25 @@ InjectionRecord Injector::apply_region(const InjectionSpec& spec,
   rec.model = spec.model;
   rec.error_model = to_string(spec.model);
   // Draw order is fixed: region, then the shared bit set, then the
-  // per-element thinning sequence — every element of the region sees the
-  // same perturbed bit positions (a channel-wide datapath fault).
+  // thinning hits over the region's elements in region order — every hit
+  // element sees the same perturbed bit positions (a channel-wide datapath
+  // fault). ber 0 means no thinning: every element, no draws.
   rec.bits = choose_bits(f.bit_width(), spec.bit, spec.num_bits);
-  const auto ber = static_cast<float>(spec.ber);
-  Rng& rng = draw_rng();
-  for (int64_t i = 0; i < view.numel(); ++i) {
-    if (ber > 0.0f && !(rng.uniform() < ber)) continue;
-    const int64_t s = view.flat_offset(i);
-    fmt::BitString bits = f.real_to_format_at(y[s], s);
-    perturb(bits, spec.model, rec.bits);
-    const float before = y[s];
-    y[s] = f.format_to_real_at(bits, s);
-    if (rec.affected == 0) {
-      rec.element = s;
-      rec.value_before = before;
-      rec.value_after = y[s];
-    }
-    ++rec.affected;
-  }
+  for_each_bernoulli_hit(
+      draw_rng().engine(), view.numel(), spec.ber > 0.0 ? spec.ber : 1.0,
+      [&](int64_t i) {
+        const int64_t s = view.flat_offset(i);
+        fmt::BitString bits = f.real_to_format_at(y[s], s);
+        perturb(bits, spec.model, rec.bits);
+        const float before = y[s];
+        y[s] = f.format_to_real_at(bits, s);
+        if (rec.affected == 0) {
+          rec.element = s;
+          rec.value_before = before;
+          rec.value_after = y[s];
+        }
+        ++rec.affected;
+      });
   return rec;
 }
 

@@ -52,6 +52,20 @@ constexpr bool is_zoo_model(ErrorModel m) {
   return m >= ErrorModel::kBerUniform;
 }
 
+/// Generation of the Bernoulli-hit sampler that draws kBerUniform's flips
+/// and the kRowBurst/kChannel thinning. Its draw order fixes those models'
+/// results, so campaign checkpoints record it and resume/merge refuse a
+/// mismatch. 1: one uniform draw per slot; 2: geometric gaps, one draw
+/// per hit.
+constexpr int kBerSamplerGeneration = 2;
+
+/// True when a campaign of `model` at rate `ber` draws from that sampler.
+constexpr bool uses_ber_sampler(ErrorModel model, double ber) {
+  return model == ErrorModel::kBerUniform ||
+         ((model == ErrorModel::kRowBurst || model == ErrorModel::kChannel) &&
+          ber > 0.0);
+}
+
 const char* to_string(InjectionSite site);
 const char* to_string(ErrorModel model);
 

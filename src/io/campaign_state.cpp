@@ -24,6 +24,10 @@ constexpr uint32_t kSitesPerTrialTag = 0x53505431;
 // u32 burst_len. Written after the SPT1 field; same skip semantics.
 constexpr uint32_t kErrorModelZooTag = 0x454D5A31;
 
+// Trailing-field tag for the Bernoulli sampler generation ("BSG1"): u32.
+// Written after EMZ1; a file without it was drawn by generation 1.
+constexpr uint32_t kBerSamplerTag = 0x42534731;
+
 void encode_outcome(ByteWriter& w, const core::FaultOutcome& o) {
   w.i64(o.mismatched_samples);
   w.f32(o.mismatch_rate);
@@ -72,6 +76,8 @@ std::vector<uint8_t> encode_campaign_progress(
   w.u32(kErrorModelZooTag);
   w.f64(p.ber);
   w.u32(static_cast<uint32_t>(p.burst_len));
+  w.u32(kBerSamplerTag);
+  w.u32(static_cast<uint32_t>(p.ber_sampler));
   return w.take();
 }
 
@@ -125,6 +131,7 @@ core::CampaignProgress decode_campaign_progress(ByteReader& r) {
   // shorter than a tag+value in the forward-compat junk drill): only a
   // matching tag claims the bytes. A mismatching u32 is unknown trailing
   // data — consumed or not, parsing stops here and the skip rule covers it.
+  p.ber_sampler = 1;  // unless the BSG1 field below says otherwise
   if (r.remaining() >= 8 && r.u32() == kSitesPerTrialTag) {
     const uint32_t spt = r.u32();
     if (spt < 1) {
@@ -138,6 +145,13 @@ core::CampaignProgress decode_campaign_progress(ByteReader& r) {
       p.burst_len = static_cast<int>(r.u32());
       if (!(p.ber >= 0.0 && p.ber <= 1.0) || p.burst_len < 1) {
         throw IoError(r.context() + ": corrupt error-model-zoo field");
+      }
+      if (r.remaining() >= 8 && r.u32() == kBerSamplerTag) {
+        const uint32_t gen = r.u32();
+        if (gen < 1) {
+          throw IoError(r.context() + ": corrupt ber sampler generation");
+        }
+        p.ber_sampler = static_cast<int>(gen);
       }
     }
   }

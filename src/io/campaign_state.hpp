@@ -14,6 +14,9 @@
 //     trials * u8 done flag,
 //     trials * outcome {i64 mismatched_samples, f32 mismatch_rate,
 //                       f32 delta_loss, f32 max_delta_loss, u8 sdc}
+//   then tagged trailing fields, each present only after the one before:
+//     "SPT1" u32 sites_per_trial, "EMZ1" f64 ber + u32 burst_len,
+//     "BSG1" u32 ber_sampler (Bernoulli sampler generation; 1 if absent)
 //
 // Evolution rule: in container v2+ files, writers may append new fields
 // after this layout; readers decode what they know and skip the rest

@@ -330,23 +330,136 @@ TEST(CampaignMerge, PartialMergeCanBeResumedToCompletion) {
   EXPECT_EQ(campaign_digest(finalize_campaign(full)), campaign_digest(want));
 }
 
+// --- Bernoulli sampler generation guard -------------------------------------
+
+/// `p` as a build without the BSG1 field (Bernoulli sampler generation)
+/// wrote it: the CAMP bytes minus that trailing tag and u32, saved and
+/// loaded back.
+CampaignProgress without_sampler_field(const CampaignProgress& p,
+                                       const std::string& name) {
+  std::vector<uint8_t> payload = io::encode_campaign_progress(p);
+  payload.resize(payload.size() - 8);
+  io::Container c;
+  c.add("CAMP", payload);
+  const std::string path = tmp_path(name);
+  io::save_file(path, c);
+  CampaignProgress back = io::load_campaign_progress(path);
+  std::remove(path.c_str());
+  return back;
+}
+
+template <class F>
+void expect_draw_order_refusal(F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << "expected io::IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("different ber draw order"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignSamplerGuard, BerProgressFromTheOldSamplerIsRefused) {
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  CampaignConfig cfg = campaign_cfg();
+  cfg.model = ErrorModel::kBerUniform;
+  cfg.ber = 5e-3;
+  Fixture f;
+  CampaignRunOptions opts;
+  opts.shards = 2;
+  opts.shard_index = 0;
+  const CampaignProgress shard0 =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  opts.shard_index = 1;
+  const CampaignProgress shard1 =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  EXPECT_EQ(shard0.ber_sampler, kBerSamplerGeneration);
+
+  const CampaignProgress old1 = without_sampler_field(shard1, "old_ber");
+  EXPECT_EQ(old1.ber_sampler, 1);
+  expect_draw_order_refusal([&] {
+    CampaignRunOptions ropts = opts;
+    ropts.resume_from = &old1;
+    (void)run_campaign_trials(*f.model, f.batch, cfg, ropts);
+  });
+  expect_draw_order_refusal(
+      [&] { (void)merge_campaign_progress({shard0, old1}); });
+  expect_draw_order_refusal(
+      [&] { (void)merge_campaign_progress({old1, shard0}); });
+  // A file this build writes carries the field and merges as usual.
+  const std::string path = tmp_path("new_ber");
+  io::save_campaign_progress(path, shard1);
+  const CampaignProgress kept = io::load_campaign_progress(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(kept.ber_sampler, kBerSamplerGeneration);
+  EXPECT_TRUE(merge_campaign_progress({shard0, kept}).complete());
+}
+
+TEST(CampaignSamplerGuard, ClassicProgressInTheOldLayoutStillResumes) {
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  const CampaignConfig cfg = campaign_cfg();
+  Fixture single;
+  const uint64_t want =
+      campaign_digest(run_campaign(*single.model, single.batch, cfg));
+
+  const std::string path = tmp_path("old_flip");
+  Fixture f;
+  CampaignRunOptions opts;
+  opts.checkpoint_path = path;
+  opts.abort_after = 7;
+  const CampaignProgress partial =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  std::remove(path.c_str());
+  ASSERT_FALSE(partial.complete());
+  const CampaignProgress old = without_sampler_field(partial, "old_flip");
+  EXPECT_EQ(old.ber_sampler, 1);
+
+  CampaignRunOptions ropts;
+  ropts.resume_from = &old;
+  const CampaignProgress full =
+      run_campaign_trials(*f.model, f.batch, cfg, ropts);
+  ASSERT_TRUE(full.complete());
+  EXPECT_EQ(campaign_digest(finalize_campaign(full)), want);
+
+  // An old-layout shard also merges with a current one.
+  CampaignRunOptions sopts;
+  sopts.shards = 2;
+  sopts.shard_index = 0;
+  const CampaignProgress s0 = without_sampler_field(
+      run_campaign_trials(*f.model, f.batch, cfg, sopts), "old_flip_shard");
+  sopts.shard_index = 1;
+  const CampaignProgress s1 =
+      run_campaign_trials(*f.model, f.batch, cfg, sopts);
+  const CampaignProgress merged = merge_campaign_progress({s0, s1});
+  EXPECT_EQ(campaign_digest(finalize_campaign(merged)), want);
+}
+
 // --- one session, many runs -------------------------------------------------
 
 /// Campaign kinds a session must keep bitwise-stable across runs: a value
 /// site, a metadata site, a weight site (each corrupted weight must be
-/// back before the next run) and multi-point trials.
+/// back before the next run), multi-point trials, and the two models that
+/// draw from the Bernoulli sampler: ber_uniform and a thinned channel.
 std::vector<CampaignConfig> session_cfgs() {
-  std::vector<CampaignConfig> cfgs(4, campaign_cfg());
+  std::vector<CampaignConfig> cfgs(6, campaign_cfg());
   cfgs[1].format_spec = "bfp_e5m5_b16";
   cfgs[1].site = InjectionSite::kMetadata;
   cfgs[2].format_spec = "int8";
   cfgs[2].site = InjectionSite::kWeightValue;
   cfgs[3].sites_per_trial = 2;
+  cfgs[4].model = ErrorModel::kBerUniform;
+  cfgs[4].ber = 5e-3;
+  cfgs[5].model = ErrorModel::kChannel;
+  cfgs[5].ber = 0.5;
   return cfgs;
 }
 
 std::string label(const CampaignConfig& cfg) {
   return cfg.format_spec + " site=" + to_string(cfg.site) +
+         " model=" + to_string(cfg.model) +
          " sites/trial=" + std::to_string(cfg.sites_per_trial) +
          " cache=" + (cfg.use_prefix_cache ? "on" : "off") +
          " threads=" + std::to_string(parallel::num_threads());
@@ -409,46 +522,76 @@ TEST(CampaignSessionTest, SameRangeTwiceIsBitwiseEqual) {
   ThreadGuard guard;
   for (int threads : {1, 4}) {
     parallel::set_num_threads(threads);
-    for (const CampaignConfig& cfg : session_cfgs()) {
-      Fixture f;
-      CampaignSession session(*f.model, f.batch, cfg);
-      CampaignRunOptions opts;
-      opts.lease_lo = 2;
-      opts.lease_hi = session.layer_count() * cfg.injections_per_layer - 3;
-      const CampaignProgress a = session.run(opts);
-      const CampaignProgress b = session.run(opts);
-      EXPECT_EQ(a.completed_trials(), opts.lease_hi - opts.lease_lo);
-      EXPECT_EQ(io::encode_campaign_progress(a),
-                io::encode_campaign_progress(b))
-          << label(cfg);
+    for (bool cache : {true, false}) {
+      for (CampaignConfig cfg : session_cfgs()) {
+        cfg.use_prefix_cache = cache;
+        Fixture f;
+        CampaignSession session(*f.model, f.batch, cfg);
+        CampaignRunOptions opts;
+        opts.lease_lo = 2;
+        opts.lease_hi = session.layer_count() * cfg.injections_per_layer - 3;
+        const CampaignProgress a = session.run(opts);
+        const CampaignProgress b = session.run(opts);
+        EXPECT_EQ(a.completed_trials(), opts.lease_hi - opts.lease_lo);
+        EXPECT_EQ(io::encode_campaign_progress(a),
+                  io::encode_campaign_progress(b))
+            << label(cfg);
+      }
     }
   }
 }
 
 TEST(CampaignSessionTest, AbortThenResumeOnOneSessionMatchesSingleRun) {
   ThreadGuard guard;
-  const CampaignConfig cfg = campaign_cfg();
   const std::string path = tmp_path("session_resume");
   for (int threads : {1, 4}) {
     parallel::set_num_threads(threads);
-    Fixture single;
-    const CampaignResult want = run_campaign(*single.model, single.batch, cfg);
+    for (bool cache : {true, false}) {
+      for (CampaignConfig cfg : session_cfgs()) {
+        cfg.use_prefix_cache = cache;
+        Fixture single;
+        const CampaignResult want =
+            run_campaign(*single.model, single.batch, cfg);
 
-    Fixture f;
-    CampaignSession session(*f.model, f.batch, cfg);
-    CampaignRunOptions opts;
-    opts.checkpoint_every = 2;
-    opts.checkpoint_path = path;
-    opts.abort_after = 7;  // mid-layer, mid-block
-    const CampaignProgress partial = session.run(opts);
-    EXPECT_FALSE(partial.complete());
-    CampaignRunOptions ropts;
-    ropts.resume_from = &partial;
-    const CampaignProgress full = session.run(ropts);
-    EXPECT_TRUE(full.complete());
-    EXPECT_EQ(campaign_digest(finalize_campaign(full)), campaign_digest(want))
-        << "threads=" << threads;
-    std::remove(path.c_str());
+        Fixture f;
+        CampaignSession session(*f.model, f.batch, cfg);
+        CampaignRunOptions opts;
+        opts.checkpoint_every = 2;
+        opts.checkpoint_path = path;
+        opts.abort_after = 7;  // mid-layer, mid-block
+        const CampaignProgress partial = session.run(opts);
+        EXPECT_FALSE(partial.complete());
+        CampaignRunOptions ropts;
+        ropts.resume_from = &partial;
+        const CampaignProgress full = session.run(ropts);
+        EXPECT_TRUE(full.complete());
+        EXPECT_EQ(campaign_digest(finalize_campaign(full)),
+                  campaign_digest(want))
+            << label(cfg);
+        std::remove(path.c_str());
+      }
+    }
+  }
+}
+
+TEST(CampaignSessionTest, BernoulliModelsGiveOneDigestAcrossThreadsAndCache) {
+  // The geometric Bernoulli sampler draws only from each trial's own
+  // stream, so neither the pool size nor suffix replay can move a result.
+  ThreadGuard guard;
+  for (const CampaignConfig& base : session_cfgs()) {
+    if (!uses_ber_sampler(base.model, base.ber)) continue;
+    std::vector<uint64_t> digests;
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      for (bool cache : {true, false}) {
+        CampaignConfig cfg = base;
+        cfg.use_prefix_cache = cache;
+        Fixture f;
+        digests.push_back(
+            campaign_digest(run_campaign(*f.model, f.batch, cfg)));
+        EXPECT_EQ(digests.back(), digests.front()) << label(cfg);
+      }
+    }
   }
 }
 

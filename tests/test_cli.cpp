@@ -101,6 +101,12 @@ TEST(Cli, AccuracyEndToEnd) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("baseline:"), std::string::npos);
   EXPECT_NE(r.out.find("accuracy:"), std::string::npos);
+
+  // -1 evaluates the whole test split
+  const auto all = run({"accuracy", "--model", "mlp", "--format", "int8",
+                        "--epochs", "1", "--cache", "/tmp/ge_cli_cache",
+                        "--samples", "-1"});
+  EXPECT_EQ(all.code, 0) << all.err;
 }
 
 TEST(Cli, CampaignEndToEnd) {
@@ -180,6 +186,10 @@ TEST(Cli, BadNumericOptionIsUsageErrorNotCrash) {
       {"profile", "--samples", "0"},
       {"profile", "--samples", "600"},
       {"dse", "--samples", "600"},
+      {"train", "--model", "mlp", "--epochs", "1", "--samples", "0"},
+      {"train", "--model", "mlp", "--epochs", "1", "--samples", "600"},
+      {"accuracy", "--model", "mlp", "--format", "int8", "--samples", "0"},
+      {"accuracy", "--model", "mlp", "--format", "int8", "--samples", "600"},
       {"submit", "--port", "1", "--format", "int8", "--samples", "0"},
       {"submit", "--port", "1", "--format", "int8", "--samples", "513"},
   };

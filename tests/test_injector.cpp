@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/injector.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic.hpp"
 #include "models/model_factory.hpp"
+#include "nn/activation.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/tensor_view.hpp"
 
 namespace ge::core {
@@ -473,6 +476,211 @@ TEST(InjectorZoo, RowBurstDeterministicUnderSeed) {
   EXPECT_EQ(a.element, b.element);
   EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.affected, b.affected);
+}
+
+// --- the Bernoulli-hit sampler (ber_uniform and region thinning) ----------
+//
+// An instrumented Identity over an all-zero input: every element quantises
+// to code 0, so the code of each output element *is* its flip pattern. The
+// fxp formats are two's-complement bijections (every code decodes and
+// re-encodes to itself); fp_e5m10 is too, except NaN payloads, which need
+// five exponent flips plus a mantissa flip and so stay out of reach at the
+// rates used with it. Seeds are fixed, so every verdict is deterministic.
+
+struct ZeroSite {
+  nn::Sequential model;
+  Tensor x;
+  std::unique_ptr<Emulator> emu;
+  std::unique_ptr<Injector> inj;
+
+  ZeroSite(const std::string& spec, Shape shape) : x(std::move(shape)) {
+    model.emplace<nn::Identity>();
+    model.eval();
+    EmulatorConfig cfg;
+    cfg.format_spec = spec;
+    cfg.layer_kinds = {"Identity"};
+    emu = std::make_unique<Emulator>(model, cfg);
+    inj = std::make_unique<Injector>(*emu, 0);
+  }
+
+  int width() const { return emu->sites()[0].act_format->bit_width(); }
+
+  /// Arm `spec` on the site with trial stream `trial`, run one forward and
+  /// return each element's flip pattern (its output code).
+  std::vector<uint64_t> fire(InjectionSpec spec, uint64_t trial) {
+    spec.layer_path = emu->sites()[0].path;
+    inj->arm(spec, Rng(2024).child(trial));
+    const Tensor y = model(x);
+    EXPECT_TRUE(inj->fired());
+    fmt::NumberFormat& f = *emu->sites()[0].act_format;
+    std::vector<uint64_t> codes(static_cast<size_t>(y.numel()));
+    for (int64_t i = 0; i < y.numel(); ++i) {
+      codes[static_cast<size_t>(i)] = f.real_to_format_at(y[i], i).value();
+    }
+    return codes;
+  }
+
+  const InjectionRecord& record() const { return *inj->last_record(); }
+};
+
+InjectionSpec ber_spec(double ber) {
+  InjectionSpec spec;
+  spec.model = ErrorModel::kBerUniform;
+  spec.ber = ber;
+  return spec;
+}
+
+/// |observed - n*p| within `k` standard deviations of Binomial(n, p).
+::testing::AssertionResult within_binomial(int64_t observed, double n,
+                                           double p, double k = 5.0) {
+  const double mean = n * p;
+  const double sd = std::sqrt(n * p * (1.0 - p));
+  if (std::abs(static_cast<double>(observed) - mean) <= k * sd) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << observed << " is outside " << mean << " +- " << k << " * " << sd;
+}
+
+TEST(BernoulliSampler, FlipCountMatchesTheBinomial) {
+  constexpr int64_t kNumel = 4096;
+  constexpr int kTrials = 40;
+  for (double ber : {1e-3, 0.02, 0.3}) {
+    ZeroSite z("fxp_1_3_12", {1, kNumel});
+    int64_t flips = 0;
+    for (int t = 0; t < kTrials; ++t) {
+      for (uint64_t code : z.fire(ber_spec(ber), t)) {
+        flips += __builtin_popcountll(code);
+      }
+    }
+    const double slots = double(kNumel) * z.width() * kTrials;
+    EXPECT_TRUE(within_binomial(flips, slots, ber)) << "ber=" << ber;
+  }
+}
+
+TEST(BernoulliSampler, BitPositionsAreUniform) {
+  // Chi-square of per-position flip counts against uniform; the bounds are
+  // the 0.999 quantiles for 15 and 7 degrees of freedom.
+  const std::pair<const char*, double> cases[] = {{"fp_e5m10", 37.70},
+                                                  {"fxp_1_3_4", 24.32}};
+  for (const auto& [spec, bound] : cases) {
+    ZeroSite z(spec, {1, 4096});
+    const int w = z.width();
+    std::vector<int64_t> per_bit(static_cast<size_t>(w), 0);
+    int64_t total = 0;
+    for (int t = 0; t < 30; ++t) {
+      for (uint64_t code : z.fire(ber_spec(0.02), t)) {
+        for (int b = 0; b < w; ++b) {
+          if ((code >> b) & 1u) {
+            ++per_bit[static_cast<size_t>(b)];
+            ++total;
+          }
+        }
+      }
+    }
+    const double expected = double(total) / w;
+    double chi2 = 0.0;
+    for (int64_t c : per_bit) {
+      chi2 += (double(c) - expected) * (double(c) - expected) / expected;
+    }
+    EXPECT_GT(total, 0) << spec;
+    EXPECT_LT(chi2, bound) << spec << " width " << w;
+  }
+}
+
+TEST(BernoulliSampler, MultiHitElementsMatchTheBinomialTail) {
+  // Hits are i.i.d. per slot, so an element is hit twice or more with
+  // probability 1 - (1-p)^w - w p (1-p)^(w-1); `affected` counts the
+  // elements hit at least once, and the record lists the first hit
+  // element's bits in ascending order.
+  constexpr int64_t kNumel = 4096;
+  constexpr int kTrials = 40;
+  const double p = 0.05;
+  ZeroSite z("fxp_1_3_12", {1, kNumel});
+  const int w = z.width();
+  int64_t multi = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    const std::vector<uint64_t> codes = z.fire(ber_spec(p), t);
+    int64_t hit = 0;
+    int64_t first = -1;
+    for (size_t i = 0; i < codes.size(); ++i) {
+      const int n = __builtin_popcountll(codes[i]);
+      if (n == 0) continue;
+      if (first < 0) first = static_cast<int64_t>(i);
+      ++hit;
+      if (n >= 2) ++multi;
+    }
+    const InjectionRecord& rec = z.record();
+    EXPECT_EQ(rec.affected, hit);
+    ASSERT_GE(first, 0);
+    EXPECT_EQ(rec.element, first);
+    uint64_t pattern = 0;
+    for (size_t k = 0; k < rec.bits.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(rec.bits[k - 1], rec.bits[k]);
+      }
+      pattern |= uint64_t{1} << rec.bits[k];
+    }
+    EXPECT_EQ(pattern, codes[static_cast<size_t>(first)]);
+  }
+  const double q2 = 1.0 - std::pow(1.0 - p, w) -
+                    w * p * std::pow(1.0 - p, w - 1);
+  EXPECT_TRUE(within_binomial(multi, double(kNumel) * kTrials, q2));
+}
+
+TEST(BernoulliSampler, RateOneFlipsEveryBitOfEveryElement) {
+  ZeroSite z("fxp_1_3_12", {2, 300});
+  const uint64_t all = (uint64_t{1} << z.width()) - 1;
+  for (uint64_t code : z.fire(ber_spec(1.0), 0)) EXPECT_EQ(code, all);
+  const InjectionRecord& rec = z.record();
+  EXPECT_EQ(rec.affected, 600);
+  EXPECT_EQ(rec.element, 0);
+  EXPECT_EQ(rec.bits.size(), static_cast<size_t>(z.width()));
+}
+
+TEST(BernoulliSampler, VanishingRatesPerturbNothing) {
+  // The gap to the first hit is astronomically past the end (up to +inf
+  // for the smallest double); it must end the sweep, never reach an
+  // out-of-range float-to-int conversion.
+  for (double ber : {1e-300, std::numeric_limits<double>::denorm_min()}) {
+    ZeroSite z("fp_e5m10", {1, 4096});
+    for (int t = 0; t < 20; ++t) {
+      for (uint64_t code : z.fire(ber_spec(ber), t)) EXPECT_EQ(code, 0u);
+      EXPECT_EQ(z.record().affected, 0) << "ber=" << ber;
+      EXPECT_EQ(z.record().element, -1);
+    }
+  }
+}
+
+TEST(BernoulliSampler, ChannelThinningHitsTheRateWithinItsChannel) {
+  // NCHW: channel 1 of a (2, 3, 16, 16) tensor holds 512 elements.
+  constexpr int64_t kC = 3, kHW = 256, kRegion = 2 * kHW;
+  InjectionSpec spec;
+  spec.model = ErrorModel::kChannel;
+  spec.element = 1;
+  auto hits_in_channel = [&](ZeroSite& z, uint64_t trial) {
+    const std::vector<uint64_t> codes = z.fire(spec, trial);
+    int64_t hit = 0;
+    for (size_t i = 0; i < codes.size(); ++i) {
+      if (codes[i] == 0) continue;
+      EXPECT_EQ((static_cast<int64_t>(i) / kHW) % kC, 1) << "element " << i;
+      ++hit;
+    }
+    EXPECT_EQ(z.record().affected, hit);
+    return hit;
+  };
+  ZeroSite z("fxp_1_3_12", {2, kC, 16, 16});
+  for (double ber : {0.0, 1.0}) {
+    spec.ber = ber;
+    for (int t = 0; t < 3; ++t) {
+      EXPECT_EQ(hits_in_channel(z, t), kRegion) << "ber=" << ber;
+    }
+  }
+  spec.ber = 0.5;
+  constexpr int kTrials = 40;
+  int64_t hits = 0;
+  for (int t = 0; t < kTrials; ++t) hits += hits_in_channel(z, t);
+  EXPECT_TRUE(within_binomial(hits, double(kRegion) * kTrials, 0.5));
 }
 
 TEST(InjectorZoo, ClassicRecordCarriesErrorModelAndAffected) {
