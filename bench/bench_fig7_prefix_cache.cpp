@@ -6,9 +6,12 @@
 // a pure speed knob, so the campaign digests must match bitwise — this
 // binary asserts that and exits non-zero on any divergence.
 //
-// Expected shape: speedup grows with network depth because the average
-// trial skips half the layers; deeper/more uniform models (tiny_deit's
-// transformer blocks) sit near the ~2x ideal, front-heavy CNNs lower.
+// Expected shape: the cache skips the prefix before each trial's site
+// (about half the layers on average) and, because a value flip reaches one
+// sample, replays the suffix for that sample alone (sample-sliced replay).
+// The speedup is therefore well past the ~2x a full-batch suffix replay
+// gives; it is largest where a batch-1 forward is cheapest against the
+// batch of 16.
 #include <cstdio>
 #include <cstdlib>
 

@@ -3,11 +3,14 @@
 // whole activation tensor and channel-correlated faults — on the two
 // "real" topologies (tiny_resnet, tiny_deit).
 //
-// Expected shape: flip and channel trials cost about one forward pass each
-// (channel touches more elements but injection is a rounding error next to
-// the forward). ber_uniform draws one geometric gap per flip and encodes
-// only the hit elements, so its injection cost scales with the expected
-// number of flips, not with the tensor's bit count.
+// Expected shape: a flip reaches one sample, so its trial replays the
+// suffix from its site for that sample alone (sample-sliced replay,
+// DESIGN.md §10) and costs a fraction of a batch forward. A channel fault
+// reaches every sample and replays the suffix at full batch; injection is
+// a rounding error next to that replay. ber_uniform also replays at full
+// batch; it draws one geometric gap per flip and encodes only the hit
+// elements, so its injection cost scales with the expected number of
+// flips, not with the tensor's bit count.
 // The JSON rows feed the CI perf gate (bench/baselines/inject_models.json).
 #include <cstdio>
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "io/campaign_state.hpp"
@@ -122,6 +123,75 @@ int64_t sample0_top1(const Tensor& logits, size_t n_samples) {
   return best;
 }
 
+/// Whether every trial of `cfg` is one activation-value fault that reaches
+/// a single sample: one element (flip, stuck-at, burst) or one row.
+bool single_sample_faults(const CampaignConfig& cfg) {
+  if (cfg.site != InjectionSite::kActivationValue || cfg.sites_per_trial != 1) {
+    return false;
+  }
+  switch (cfg.model) {
+    case ErrorModel::kBitFlip:
+    case ErrorModel::kStuckAt0:
+    case ErrorModel::kStuckAt1:
+    case ErrorModel::kBurst:
+    case ErrorModel::kRowBurst: return true;
+    default: return false;
+  }
+}
+
+/// Whether `model` keeps the samples of `images` apart: in a golden
+/// forward of the last sample alone, every module's output must equal,
+/// bitwise and in shape, that sample's rows of the module's record in
+/// `plan`, which recorded the whole batch. A record whose first extent is
+/// not a multiple of the batch fails. Nothing is armed, so this is the
+/// golden forward at batch 1. Outputs are compared as they are produced,
+/// by a forward hook on each recorded module, so the check never holds a
+/// second set of activations next to the golden plan.
+bool separable_by_sample(nn::Module& model, const nn::ReplayPlan& plan,
+                         const Tensor& images) {
+  const int64_t batch = images.size(0);
+  int64_t compared = 0;
+  bool same = true;
+  struct Hooks {
+    std::vector<std::pair<nn::Module*, nn::Module::HookHandle>> list;
+    ~Hooks() {
+      for (const auto& [m, handle] : list) m->remove_hook(handle);
+    }
+  } hooks;
+  for (const auto& [path, m] : model.named_modules()) {
+    const Tensor* full = plan.recorded_output(*m);
+    if (full == nullptr) continue;
+    hooks.list.emplace_back(
+        m, m->add_forward_hook([&, full](nn::Module&, Tensor& row) {
+          ++compared;
+          Shape cut = full->shape();
+          if (cut.empty() || cut[0] % batch != 0) {
+            same = false;
+            return;
+          }
+          cut[0] /= batch;
+          const int64_t n = row.numel();
+          if (row.shape() != cut ||
+              (n > 0 &&
+               std::memcmp(full->cdata() + (batch - 1) * n, row.cdata(),
+                           static_cast<size_t>(n) * sizeof(float)) != 0)) {
+            same = false;
+          }
+        }));
+  }
+  (void)model(nn::sample_rows(images, batch - 1, batch));
+  return same && compared == static_cast<int64_t>(hooks.list.size());
+}
+
+/// A sliced trial's full-batch logits: `golden` with row `sample` replaced
+/// by the replay's batch-1 `row`. The rows the fault cannot reach are the
+/// golden rows bitwise, so these are the logits a full-batch replay gives.
+Tensor splice_sample(const Tensor& golden, const Tensor& row, int64_t sample) {
+  Tensor out = golden;
+  std::copy_n(row.cdata(), row.numel(), out.data() + sample * row.numel());
+  return out;
+}
+
 /// Validate a loaded checkpoint against the state a fresh run of this
 /// campaign would produce, then splice its completed trials into `fresh`.
 /// Any disagreement means the file belongs to a different campaign (or a
@@ -193,6 +263,9 @@ struct CampaignSession::State {
   GoldenRun golden;
   std::vector<nn::ReplayPlan> rplans;
   bool cache_on = false;
+  /// Sample-sliced replay (DESIGN.md §10): each trial replays only the
+  /// sample its fault reaches.
+  bool sliced = false;
   /// Campaigned layers, as indices into the primary emulator's sites().
   std::vector<size_t> layer_sites;
 };
@@ -295,6 +368,24 @@ CampaignSession::CampaignSession(nn::Module& model, const data::Batch& batch,
   const std::vector<LayerSite>& sites = ctxs[0].emu->sites();
   for (size_t li = 0; li < sites.size(); ++li) {
     if (campaigned(sites[li], cfg)) s.layer_sites.push_back(li);
+  }
+
+  // Sample-sliced replay. A single-sample fault under formats that
+  // quantise each element on their own (no metadata register at any site)
+  // leaves every other sample's rows golden, as long as the model never
+  // computes across samples — which one batch-1 golden forward checks
+  // before any trial relies on it.
+  if (s.cache_on && single_sample_faults(cfg) && s.batch.images.size(0) > 1 &&
+      std::none_of(sites.begin(), sites.end(), [](const LayerSite& site) {
+        return site.act_format->has_metadata();
+      })) {
+    obs::Span check_span("campaign", "slice_check");
+    s.sliced = separable_by_sample(model, s.plan0, s.batch.images);
+    if (!s.sliced) {
+      obs::log(1,
+               "campaign: a batch-1 golden forward differs from its rows of "
+               "the batch; replaying every trial at full batch");
+    }
   }
 }
 
@@ -473,6 +564,27 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
       }
     }
 
+    InjectionSpec layer_spec;
+    layer_spec.layer_path = site.path;
+    layer_spec.site = cfg.site;
+    layer_spec.model = cfg.model;
+    layer_spec.num_bits = cfg.num_bits;
+    layer_spec.ber = cfg.ber;
+    layer_spec.burst_len = cfg.burst_len;
+
+    // A sliced layer maps each trial's target (element or row of the
+    // site's golden output) to the sample holding it: `per_sample`
+    // targets each, sample_numel elements each. 0 = full-batch replays.
+    const int64_t batch_size = batch.images.size(0);
+    const Tensor* site_golden =
+        state_->sliced ? plan0.recorded_output(*site.module) : nullptr;
+    const int64_t targets =
+        site_golden != nullptr ? target_count(layer_spec, *site_golden) : 0;
+    const int64_t per_sample =
+        targets % batch_size == 0 ? targets / batch_size : 0;
+    const int64_t sample_numel =
+        site_golden != nullptr ? site_golden->numel() / batch_size : 0;
+
     obs::Span layer_span("campaign", "layer", site.path);
     const int64_t layer_t0 = obs::metrics_enabled() ? obs::now_ns() : 0;
     int64_t layer_done = 0;
@@ -496,16 +608,20 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
               obs::AttrScope trial_attr(cfg.format_spec, site.path);
               obs::Span trial_span("campaign", "trial");
               const int64_t trial_t0 = capture ? obs::now_ns() : 0;
-              InjectionSpec spec;
-              spec.layer_path = site.path;
-              spec.site = cfg.site;
-              spec.model = cfg.model;
-              spec.num_bits = cfg.num_bits;
-              spec.ber = cfg.ber;
-              spec.burst_len = cfg.burst_len;
+              InjectionSpec spec = layer_spec;
               Rng trial_rng =
                   base.child(lp.site_index * static_cast<uint64_t>(nT) +
                              static_cast<uint64_t>(ti));
+              // A sliced trial draws its target ahead of the hook, from
+              // the same stream and the full-batch shape, and arms the
+              // rest of the fault with the advanced stream.
+              nn::SampleSlice slice;
+              if (per_sample > 0) {
+                const int64_t target =
+                    draw_target(spec, *site_golden, trial_rng);
+                slice = {target / per_sample, batch_size};
+                spec.element = target % per_sample;
+              }
               if (want_comp == 0) {
                 ctx.inj->arm(spec, trial_rng);
               } else {
@@ -546,10 +662,14 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
                     *ctx.plan,
                     *ctx.emu->sites()[static_cast<size_t>(lp.site_index)]
                          .module,
-                    batch.images, &served);
+                    batch.images, &served, slice);
                 obs::add(obs::Counter::kPrefixCacheHits);
                 obs::add(obs::Counter::kSuffixLayersSkipped,
                          static_cast<uint64_t>(served));
+                if (slice.batch > 1) {
+                  logits = splice_sample(golden.logits, logits, slice.index);
+                  obs::add(obs::Counter::kSlicedReplays);
+                }
               } else {
                 logits = (*ctx.model)(batch.images);
               }
@@ -564,6 +684,9 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
                 if (const auto& rec = ctx.inj->last_record()) {
                   m.fired = true;
                   m.element = rec->element;
+                  if (slice.batch > 1 && m.element >= 0) {
+                    m.element += slice.index * sample_numel;
+                  }
                   m.bit = rec->bits.empty() ? -1 : rec->bits.front();
                   m.affected = rec->affected;
                   m.metadata_field = rec->metadata_field;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -102,16 +103,18 @@ int64_t get_samples(const ParsedArgs& p, int64_t fallback,
   return samples;
 }
 
-/// As get_int for real-valued options (e.g. --threshold).
+/// As get_int for real-valued options (e.g. --threshold). NaN and the
+/// infinities are refused too: every range check downstream compares, and
+/// a NaN fails each comparison it should have tripped.
 double get_num(const ParsedArgs& p, const std::string& key, double fallback) {
   const auto it = p.options.find(key);
   if (it == p.options.end()) return fallback;
   const std::string& s = it->second;
   char* end = nullptr;
   const double value = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(value)) {
     throw UsageError("invalid value '" + s + "' for --" + key +
-                     " (expected a number)");
+                     " (expected a finite number)");
   }
   return value;
 }
@@ -457,7 +460,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     }
   } else if (cfg.model == ErrorModel::kChannel ||
              cfg.model == ErrorModel::kRowBurst) {
-    if (cfg.ber < 0.0 || cfg.ber > 1.0) {
+    if (!(cfg.ber >= 0.0 && cfg.ber <= 1.0)) {
       throw UsageError("--ber must be in [0, 1]");
     }
   } else if (p.options.count("ber") != 0) {

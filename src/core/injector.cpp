@@ -62,6 +62,26 @@ const char* to_string(ErrorModel model) {
   return "?";
 }
 
+int64_t target_count(const InjectionSpec& spec, const Tensor& y) {
+  switch (spec.model) {
+    case ErrorModel::kRowBurst: return row_count(y);
+    case ErrorModel::kChannel: return channel_count(y);
+    default: return y.numel();
+  }
+}
+
+int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng) {
+  const int64_t n = target_count(spec, y);
+  if (spec.element < 0) return rng.randint(0, n - 1);
+  if (spec.element >= n) {
+    throw std::invalid_argument("Injector: target index " +
+                                std::to_string(spec.element) +
+                                " out of range [0, " + std::to_string(n) +
+                                ")");
+  }
+  return spec.element;
+}
+
 Injector::Injector(Emulator& emulator, uint64_t seed)
     : emulator_(&emulator), rng_(seed) {
   emulator_->set_post_quant([this](LayerSite& site, Tensor& y) {
@@ -180,7 +200,7 @@ void Injector::arm_impl(std::vector<InjectionSpec> specs) {
     }
     if ((spec.model == ErrorModel::kRowBurst ||
          spec.model == ErrorModel::kChannel) &&
-        (spec.ber < 0.0 || spec.ber > 1.0)) {
+        !(spec.ber >= 0.0 && spec.ber <= 1.0)) {
       throw std::invalid_argument("Injector: ber must be in [0, 1]");
     }
     if (spec.model == ErrorModel::kBurst) {
@@ -257,11 +277,7 @@ InjectionRecord Injector::apply_activation(const InjectionSpec& spec,
     default: break;  // classic single-element models below
   }
   fmt::NumberFormat& f = *site.act_format;
-  const int64_t element =
-      spec.element >= 0 ? spec.element : draw_rng().randint(0, y.numel() - 1);
-  if (element >= y.numel()) {
-    throw std::invalid_argument("Injector: element index out of range");
-  }
+  const int64_t element = draw_target(spec, y, draw_rng());
   InjectionRecord rec;
   rec.layer_path = site.path;
   rec.site = InjectionSite::kActivationValue;
@@ -325,11 +341,7 @@ InjectionRecord Injector::apply_ber(const InjectionSpec& spec,
 InjectionRecord Injector::apply_burst(const InjectionSpec& spec,
                                       LayerSite& site, Tensor& y) {
   fmt::NumberFormat& f = *site.act_format;
-  const int64_t element =
-      spec.element >= 0 ? spec.element : draw_rng().randint(0, y.numel() - 1);
-  if (element >= y.numel()) {
-    throw std::invalid_argument("Injector: element index out of range");
-  }
+  const int64_t element = draw_target(spec, y, draw_rng());
   const int width = f.bit_width();
   const int start = spec.bit >= 0
                         ? spec.bit
@@ -357,12 +369,7 @@ InjectionRecord Injector::apply_region(const InjectionSpec& spec,
                                        LayerSite& site, Tensor& y) {
   fmt::NumberFormat& f = *site.act_format;
   const bool channel = spec.model == ErrorModel::kChannel;
-  const int64_t regions = channel ? channel_count(y) : row_count(y);
-  const int64_t r =
-      spec.element >= 0 ? spec.element : draw_rng().randint(0, regions - 1);
-  if (r >= regions) {
-    throw std::invalid_argument("Injector: region index out of range");
-  }
+  const int64_t r = draw_target(spec, y, draw_rng());
   // The view supplies geometry only: writes go through y's own element
   // accessor at true storage indices, so block-context formats (BFP)
   // encode/decode each element inside its dense-capture block.

@@ -87,6 +87,18 @@ struct InjectionSpec {
   int burst_len = 2;           ///< kBurst: contiguous bits flipped
 };
 
+/// What a single-site activation fault of `spec` picks first in the layer
+/// output `y`: an element (classic models, kBurst) or a row/channel index
+/// (kRowBurst, kChannel). target_count is the number of choices.
+/// draw_target returns spec.element when it is set, else one uniform draw
+/// from `rng`; an explicit index outside [0, target_count) throws
+/// std::invalid_argument. The injector's hook draws the target this way at
+/// fire time; a campaign replaying one sample draws it before arming, from
+/// the same trial stream, and arms the rest of the fault with the advanced
+/// stream, so every later draw of the trial stays where it was.
+int64_t target_count(const InjectionSpec& spec, const Tensor& y);
+int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng);
+
 /// What an armed injection actually did (resolved random choices).
 struct InjectionRecord {
   std::string layer_path;

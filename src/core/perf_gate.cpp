@@ -102,6 +102,7 @@ GateResult compare_bench(const BenchFile& baseline, const BenchFile& current,
       c.baseline = bi->second;
       c.current = ci->second;
       c.ratio = bi->second > 0.0 ? ci->second / bi->second : 1.0;
+      if (c.ratio > 1.0 + threshold) out.failed.push_back(c);
       out.rows.push_back(std::move(c));
     }
   }
@@ -120,7 +121,7 @@ GateResult compare_bench(const BenchFile& baseline, const BenchFile& current,
                            : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
     out.worst_ratio = ratios.back();
   }
-  out.pass = out.median_ratio <= 1.0 + threshold;
+  out.pass = out.failed.empty();
   return out;
 }
 

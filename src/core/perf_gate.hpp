@@ -4,13 +4,14 @@
 // BenchReport ({"bench": ..., "rows": [...]}, one row object per line): a
 // checked-in baseline (bench/baselines/) and a fresh run. The gate
 // compares every metric column present in both files row-by-row (rows
-// matched on their "name" field) and fails when the median ratio
-// current/baseline across compared metrics exceeds 1 + threshold.
+// matched on their "name" field) and fails when any compared cell's
+// current/baseline ratio exceeds 1 + threshold.
 //
-// The median — not the max — is the gate statistic: a single noisy bench
-// case on a shared CI runner should not fail the build, but a real
-// regression moves most rows together. Rows present on only one side are
-// reported but never fail the gate (bench sets grow across PRs).
+// Each cell is gated on its own: a regression confined to a few rows (one
+// error model's campaign, one format's kernel) fails the build even when
+// the median across all rows does not move. The median and the worst
+// ratio are still reported. Rows present on only one side are reported but
+// never fail the gate (bench sets grow across PRs).
 #pragma once
 
 #include <map>
@@ -47,15 +48,16 @@ struct Comparison {
 
 struct GateResult {
   std::vector<Comparison> rows;      ///< every compared cell, file order
+  std::vector<Comparison> failed;    ///< cells over 1 + threshold, file order
   std::vector<std::string> missing;  ///< names on one side only (informative)
   double median_ratio = 1.0;         ///< median of rows[].ratio
   double worst_ratio = 1.0;          ///< max of rows[].ratio
-  bool pass = true;                  ///< median_ratio <= 1 + threshold
+  bool pass = true;                  ///< failed.empty()
 };
 
 /// Compare `current` against `baseline` over the named metrics (for each
 /// metric, only rows where both sides carry it numerically participate).
-/// `threshold` is fractional: 0.15 fails on a >15% median regression.
+/// `threshold` is fractional: 0.15 fails when any cell regresses >15%.
 GateResult compare_bench(const BenchFile& baseline, const BenchFile& current,
                          const std::vector<std::string>& metrics,
                          double threshold);

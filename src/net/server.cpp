@@ -217,6 +217,11 @@ std::shared_ptr<Server::Campaign> Server::active_campaign() {
   return active_;
 }
 
+size_t Server::session_threads() {
+  std::lock_guard<std::mutex> lock(threads_mu_);
+  return session_threads_.size();
+}
+
 int Server::run() {
   if (!ok()) return 1;
   obs::log(1, "serve: listening on 127.0.0.1:" + std::to_string(port_));
@@ -231,8 +236,23 @@ int Server::run() {
     if (!conn.valid()) continue;
     obs::add(obs::Counter::kNetRequests);
     std::lock_guard<std::mutex> lock(threads_mu_);
-    session_threads_.emplace_back(
-        [this](Socket s) { session_thread(std::move(s)); }, std::move(conn));
+    // Join the sessions that ended: an unjoined thread keeps its stack, so
+    // a daemon serving campaign after campaign would otherwise grow by one
+    // stack per connection ever accepted.
+    std::erase_if(session_threads_, [](SessionThread& t) {
+      if (!t.done->load(std::memory_order_acquire)) return false;
+      t.thread.join();
+      return true;
+    });
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    session_threads_.push_back(
+        {std::thread(
+             [this, done](Socket s) {
+               session_thread(std::move(s));
+               done->store(true, std::memory_order_release);
+             },
+             std::move(conn)),
+         done});
   }
 
   // Drain: the executor finishes (or checkpoints) the active campaign and
@@ -242,7 +262,7 @@ int Server::run() {
   shutdown_sessions_.store(true, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(threads_mu_);
-    for (std::thread& t : session_threads_) t.join();
+    for (SessionThread& t : session_threads_) t.thread.join();
   }
   obs::set_status_source(nullptr);
   log_event("serve_exit", "graceful shutdown", 0,

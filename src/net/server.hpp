@@ -84,6 +84,9 @@ class Server {
   bool ok() const noexcept { return listen_.valid(); }
   const std::string& last_error() const noexcept { return error_; }
   int port() const noexcept { return port_; }
+  /// Session threads not yet joined: the open connections, plus those
+  /// that ended after the last accept (the accept loop joins the rest).
+  size_t session_threads();
 
   /// Serve until request_stop(); returns the process exit code.
   int run();
@@ -181,8 +184,13 @@ class Server {
   std::mutex wstats_mu_;
   std::map<std::string, WorkerStats> worker_stats_;
 
+  /// One connection's thread; `done` is set when its session ended.
+  struct SessionThread {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
   std::mutex threads_mu_;
-  std::vector<std::thread> session_threads_;
+  std::vector<SessionThread> session_threads_;
 };
 
 /// CLI entry: run a Server with SIGINT/SIGTERM wired to request_stop().

@@ -109,7 +109,7 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
       !(cfg.ber > 0.0 && cfg.ber <= 1.0)) {
     throw NetError("campaign spec: error model 'ber' requires ber in (0, 1]");
   }
-  if (cfg.ber < 0.0 || cfg.ber > 1.0) {
+  if (!(cfg.ber >= 0.0 && cfg.ber <= 1.0)) {
     throw NetError("campaign spec: ber must be in [0, 1]");
   }
   if (core::is_zoo_model(cfg.model) &&

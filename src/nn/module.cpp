@@ -19,6 +19,7 @@ struct ReplayCtx {
   const ReplayPlan* plan = nullptr; ///< replay source (replay mode)
   int64_t fire_enter = 0;  ///< enter index of the fault site's invocation
   int64_t served = 0;      ///< invocations returned from the cache
+  SampleSlice slice;       ///< sliced replay: served outputs are cut to it
 };
 
 thread_local ReplayCtx* tl_replay = nullptr;
@@ -30,6 +31,22 @@ struct ReplayScope {
 };
 
 }  // namespace
+
+Tensor sample_rows(const Tensor& t, int64_t index, int64_t batch) {
+  if (batch < 1 || index < 0 || index >= batch || t.dim() < 1 ||
+      t.size(0) % batch != 0) {
+    throw std::invalid_argument("sample_rows: cannot cut sample " +
+                                std::to_string(index) + " of " +
+                                std::to_string(batch) + " from shape " +
+                                shape_to_string(t.shape()));
+  }
+  Shape shape = t.shape();
+  shape[0] /= batch;
+  Tensor out(std::move(shape));
+  const int64_t n = out.numel();
+  std::copy_n(t.cdata() + index * n, n, out.data());
+  return out;
+}
 
 int64_t ReplayPlan::cache_bytes() const {
   std::unordered_set<const void*> seen;
@@ -117,6 +134,10 @@ Tensor Module::operator()(const Tensor& input) {
     if (it != rc->plan->records_.end() &&
         it->second.exit < rc->fire_enter) {
       ++rc->served;
+      if (rc->slice.batch > 1) {
+        return sample_rows(it->second.output, rc->slice.index,
+                           rc->slice.batch);
+      }
       return it->second.output;  // O(1) COW share of the golden buffer
     }
     return run_forward(input);
@@ -153,8 +174,8 @@ Tensor Module::record_forward(ReplayPlan& plan, const Tensor& input) {
 }
 
 Tensor Module::forward_from(const ReplayPlan& plan, const Module& site,
-                            const Tensor& input,
-                            int64_t* served_from_cache) {
+                            const Tensor& input, int64_t* served_from_cache,
+                            const SampleSlice& slice) {
   if (tl_replay != nullptr) {
     throw std::logic_error(
         "forward_from: a record/replay pass is already active");
@@ -169,13 +190,19 @@ Tensor Module::forward_from(const ReplayPlan& plan, const Module& site,
     throw std::invalid_argument(
         "forward_from: site was not recorded in this plan");
   }
+  if (slice.batch < 1 || slice.index < 0 || slice.index >= slice.batch) {
+    throw std::invalid_argument("forward_from: sample slice out of range");
+  }
   ReplayCtx ctx;
   ctx.plan = &plan;
   ctx.fire_enter = it->second.enter;
+  ctx.slice = slice;
   Tensor y;
   {
     ReplayScope scope(ctx);
-    y = (*this)(input);
+    y = (*this)(slice.batch > 1
+                    ? sample_rows(input, slice.index, slice.batch)
+                    : input);
   }
   if (served_from_cache != nullptr) *served_from_cache = ctx.served;
   return y;

@@ -57,6 +57,11 @@ class ReplayPlan {
   bool contains(const Module& m) const {
     return records_.count(&m) != 0;
   }
+  /// m's recorded post-hook output, or nullptr when m was not recorded.
+  const Tensor* recorded_output(const Module& m) const {
+    const auto it = records_.find(&m);
+    return it != records_.end() ? &it->second.output : nullptr;
+  }
   /// Bytes of activation storage the cached outputs keep alive. Nested
   /// shares (a Sequential returning its last child's tensor) count once.
   int64_t cache_bytes() const;
@@ -83,6 +88,20 @@ class ReplayPlan {
   std::unordered_map<const Module*, Record> records_;
   int64_t next_seq_ = 0;
   bool reentered_ = false;
+};
+
+/// The rows of sample `index` in a tensor holding `batch` samples
+/// batch-major: the contiguous 1/batch of its storage, with the first
+/// extent divided by `batch` ([B, C, H, W] -> [1, C, H, W], [B*T, D] ->
+/// [T, D]). Copies. Throws std::invalid_argument when the first extent is
+/// not a multiple of `batch` or `index` is outside [0, batch).
+Tensor sample_rows(const Tensor& t, int64_t index, int64_t batch);
+
+/// Which sample a sliced Module::forward_from replays. batch = 1 (the
+/// default) replays the recorded batch whole.
+struct SampleSlice {
+  int64_t index = 0;
+  int64_t batch = 1;
 };
 
 /// A learnable tensor with its gradient accumulator.
@@ -142,12 +161,22 @@ class Module {
   /// metadata per call, so skipped sites leave no stale state behind; see
   /// DESIGN.md §10). Inference-only: skipped modules do not refresh any
   /// backward caches. `served_from_cache`, when non-null, receives the
-  /// number of invocations served from the plan. Throws
-  /// std::invalid_argument when the plan is unusable or `site` was never
-  /// recorded, std::logic_error when nested in another record/replay.
+  /// number of invocations served from the plan.
+  ///
+  /// With slice.batch > 1 the replay runs one sample of the recorded
+  /// batch: `input` (the recorded batch) and every served output are cut
+  /// to sample_rows(·, slice.index, slice.batch), so the suffix computes
+  /// at batch 1 and the result holds that sample's rows only. Exact only
+  /// for a model whose forward never mixes samples; campaigns check that
+  /// before they slice (DESIGN.md §10).
+  ///
+  /// Throws std::invalid_argument when the plan is unusable, `site` was
+  /// never recorded or the slice is out of range, std::logic_error when
+  /// nested in another record/replay.
   Tensor forward_from(const ReplayPlan& plan, const Module& site,
                       const Tensor& input,
-                      int64_t* served_from_cache = nullptr);
+                      int64_t* served_from_cache = nullptr,
+                      const SampleSlice& slice = {});
 
   /// --- hooks ---------------------------------------------------------------
   HookHandle add_forward_hook(Hook h);

@@ -409,6 +409,7 @@ const char* counter_name(Counter c) {
     case Counter::kNetFramesSent: return "net_frames_sent";
     case Counter::kNetFramesReceived: return "net_frames_received";
     case Counter::kNetLeaseStragglers: return "lease_stragglers";
+    case Counter::kSlicedReplays: return "sliced_replays";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -251,6 +251,7 @@ enum class Counter : int {
   kNetFramesSent,          ///< protocol frames written to sockets
   kNetFramesReceived,      ///< protocol frames read from sockets
   kNetLeaseStragglers,     ///< live leases flagged below the fleet median
+  kSlicedReplays,          ///< suffix replays run on the one sample reached
   kCount
 };
 

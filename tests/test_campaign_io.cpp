@@ -6,16 +6,23 @@
 // machinery through the command line.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "data/synthetic.hpp"
 #include "io/campaign_state.hpp"
 #include "models/model_factory.hpp"
+#include "nn/activation.hpp"
+#include "nn/linear.hpp"
+#include "obs/run_log.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ge::core {
@@ -593,6 +600,161 @@ TEST(CampaignSessionTest, BernoulliModelsGiveOneDigestAcrossThreadsAndCache) {
       }
     }
   }
+}
+
+// --- sample-sliced replay (DESIGN.md §10) ----------------------------------
+
+/// session_cfgs() plus burst and thinned row faults under each format
+/// family that quantises element by element, and an int8 value flip (its
+/// scale register couples the samples), each with whether its trials
+/// replay one sample.
+std::vector<std::pair<CampaignConfig, bool>> slice_cases() {
+  std::vector<std::pair<CampaignConfig, bool>> cases;
+  for (const CampaignConfig& cfg : session_cfgs()) {
+    // Only the fp_e5m10 flip config faults one sample per trial.
+    cases.emplace_back(cfg, cfg.format_spec == "fp_e5m10" &&
+                                cfg.model == ErrorModel::kBitFlip &&
+                                cfg.sites_per_trial == 1);
+  }
+  for (const char* spec : {"fp_e5m10", "fxp_1_3_12", "posit_8_1"}) {
+    CampaignConfig burst = campaign_cfg();
+    burst.format_spec = spec;
+    burst.model = ErrorModel::kBurst;
+    cases.emplace_back(burst, true);
+    CampaignConfig row = campaign_cfg();
+    row.format_spec = spec;
+    row.model = ErrorModel::kRowBurst;
+    row.ber = 0.5;
+    cases.emplace_back(row, true);
+  }
+  CampaignConfig int8 = campaign_cfg();
+  int8.format_spec = "int8";
+  cases.emplace_back(int8, false);
+  return cases;
+}
+
+TEST(SlicedReplayTest, CacheOnMatchesCacheOffAndSlicesSingleSampleFaults) {
+  ThreadGuard guard;
+  obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
+  for (const auto& [base, sliced] : slice_cases()) {
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      CampaignConfig cfg = base;
+      cfg.use_prefix_cache = false;
+      Fixture off;
+      const uint64_t want =
+          campaign_digest(run_campaign(*off.model, off.batch, cfg));
+
+      cfg.use_prefix_cache = true;
+      Fixture on;
+      obs::reset_all();
+      EXPECT_EQ(campaign_digest(run_campaign(*on.model, on.batch, cfg)), want)
+          << label(cfg);
+      const uint64_t trials = obs::counter_value(obs::Counter::kTrials);
+      ASSERT_GT(trials, 0u) << label(cfg);
+      // simple_cnn's sites all keep one sample per leading row, so a
+      // sliceable campaign slices every trial.
+      EXPECT_EQ(obs::counter_value(obs::Counter::kSlicedReplays),
+                sliced ? trials : 0u)
+          << label(cfg);
+    }
+  }
+  obs::reset_all();
+}
+
+/// The "trial" rows of one campaign's report stream, sorted.
+std::vector<std::string> trial_rows(const CampaignConfig& cfg) {
+  Fixture f;
+  std::ostringstream os;
+  {
+    obs::RunLog log(os);
+    CampaignRunOptions opts;
+    opts.run_log = &log;
+    (void)run_campaign_trials(*f.model, f.batch, cfg, opts);
+  }
+  std::vector<std::string> rows;
+  std::istringstream is(os.str());
+  for (std::string line; std::getline(is, line);) {
+    if (line.find("\"type\":\"trial\"") != std::string::npos) {
+      rows.push_back(line);
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(SlicedReplayTest, ReportRowsMatchTheFullBatchReplay) {
+  // Element, bits, values and outcome of every trial row — the element as
+  // the full-batch storage index — are what a full forward reports.
+  for (const ErrorModel model : {ErrorModel::kBitFlip, ErrorModel::kRowBurst}) {
+    CampaignConfig cfg = campaign_cfg();
+    cfg.model = model;
+    cfg.ber = model == ErrorModel::kRowBurst ? 0.5 : 0.0;
+    const std::vector<std::string> on = trial_rows(cfg);
+    cfg.use_prefix_cache = false;
+    const std::vector<std::string> off = trial_rows(cfg);
+    ASSERT_FALSE(on.empty());
+    EXPECT_EQ(on, off) << to_string(model);
+  }
+}
+
+/// Subtracts the batch mean of every feature: computation across
+/// samples, which the prepare-time check must catch.
+struct BatchCentre : nn::Module {
+  BatchCentre() : Module("BatchCentre") {}
+  Tensor forward(const Tensor& x) override {
+    const int64_t b = x.size(0);
+    const int64_t n = x.numel() / b;
+    Tensor y = x;
+    float* out = y.data();
+    for (int64_t j = 0; j < n; ++j) {
+      float mean = 0.0f;
+      for (int64_t i = 0; i < b; ++i) mean += x[i * n + j];
+      mean /= static_cast<float>(b);
+      for (int64_t i = 0; i < b; ++i) out[i * n + j] -= mean;
+    }
+    return y;
+  }
+};
+
+struct CentredNet : nn::Module {
+  nn::Flatten flat;
+  nn::Linear fc1;
+  BatchCentre centre;
+  nn::Linear fc2;
+  CentredNet(int64_t in, int64_t classes, Rng rng)
+      : Module("CentredNet"), fc1(in, 16, rng), fc2(16, classes, rng) {
+    register_child("flat", flat);
+    register_child("fc1", fc1);
+    register_child("centre", centre);
+    register_child("fc2", fc2);
+  }
+  Tensor forward(const Tensor& x) override {
+    return fc2(centre(fc1(flat(x))));
+  }
+};
+
+TEST(SlicedReplayTest, AModelThatMixesSamplesIsNeverSliced) {
+  const data::SyntheticVision data(small_cfg());
+  const data::Batch batch = data::take(data.test(), 0, 8);
+  const int64_t in = batch.images.numel() / batch.images.size(0);
+  CampaignConfig cfg;
+  cfg.format_spec = "fp_e5m10";
+  cfg.injections_per_layer = 6;
+  cfg.seed = 41;
+  obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
+  uint64_t digest[2] = {0, 0};
+  for (const bool cache : {false, true}) {
+    CentredNet net(in, data.config().num_classes, Rng(3));
+    cfg.use_prefix_cache = cache;
+    obs::reset_all();
+    digest[cache] = campaign_digest(run_campaign(net, batch, cfg));
+    EXPECT_EQ(obs::counter_value(obs::Counter::kPrefixCacheHits),
+              cache ? obs::counter_value(obs::Counter::kTrials) : 0u);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSlicedReplays), 0u);
+  }
+  EXPECT_EQ(digest[1], digest[0]);
+  obs::reset_all();
 }
 
 TEST(CampaignRunOptionsTest, InvalidOptionsAreRejected) {

@@ -177,6 +177,17 @@ TEST(Cli, BadNumericOptionIsUsageErrorNotCrash) {
             2);
   EXPECT_EQ(run({"dse", "--threshold", "lots"}).code, 2);
 
+  // NaN parses as a number but fails every range comparison: refused as
+  // a usage error instead of running an unthinned channel campaign.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"campaign", "--format", "fp_e5m10",
+                                 "--inject-scope", "channel", "--ber", "nan"},
+        std::vector<std::string>{"dse", "--threshold", "nan"}}) {
+    const auto nan = run(args);
+    EXPECT_EQ(nan.code, 2) << args[0] << ": " << nan.err;
+    EXPECT_NE(nan.err.find("nan"), std::string::npos) << nan.err;
+  }
+
   // --samples outside the synthetic test split [1, 512] is caught before
   // any model is prepared, not deep in reshape/take.
   const std::vector<std::vector<std::string>> out_of_split = {

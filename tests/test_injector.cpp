@@ -365,6 +365,23 @@ TEST(InjectorZoo, BerUniformRequiresARateInUnitInterval) {
   EXPECT_THROW(inj.arm(spec), std::invalid_argument);
 }
 
+TEST(InjectorZoo, RegionThinningRefusesANanRate) {
+  // NaN fails every comparison, so a range test written as
+  // `ber < 0 || ber > 1` would let it through as "no thinning".
+  Fixture f;
+  EmulatorConfig cfg;
+  cfg.format_spec = "fp_e5m10";
+  Emulator emu(*f.model, cfg);
+  Injector inj(emu, 1);
+  InjectionSpec spec;
+  spec.layer_path = emu.sites()[0].path;
+  for (const ErrorModel model : {ErrorModel::kChannel, ErrorModel::kRowBurst}) {
+    spec.model = model;
+    spec.ber = std::nan("");
+    EXPECT_THROW(inj.arm(spec), std::invalid_argument) << to_string(model);
+  }
+}
+
 TEST(InjectorZoo, BerUniformDeterministicAndCountsAffected) {
   Fixture f;
   EmulatorConfig cfg;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -494,6 +495,19 @@ TEST(PrepareCampaign, SamplesOutsideTheTestSplitAreRefused) {
   }
 }
 
+TEST(PrepareCampaign, NanBerIsRefused) {
+  CampaignSpecMsg spec = e2e_spec();
+  spec.error_model = static_cast<uint8_t>(core::ErrorModel::kChannel);
+  spec.ber = std::nan("");
+  try {
+    (void)prepare_campaign(spec, kCacheDir);
+    ADD_FAILURE() << "ber nan was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("ber"), std::string::npos)
+        << e.what();
+  }
+}
+
 uint64_t offline_digest(const CampaignSpecMsg& spec) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;
@@ -842,6 +856,32 @@ TEST(ServeLoopback, TracedCampaignsKeepDigestsAndFormOneTracePerCampaign) {
   }
   obs::clear_trace();
   obs::reset_all();
+}
+
+TEST(ServeLoopback, EndedSessionsAreJoined) {
+  // One submit is one connection and one session thread, and an ended
+  // thread keeps its stack until it is joined. The accept loop joins the
+  // sessions that ended, so a daemon holds threads for its open
+  // connections, not one per campaign it ever served.
+  ServeOptions sopts;
+  sopts.cache_dir = kCacheDir;
+  Server server(sopts, nullptr);
+  ASSERT_TRUE(server.ok()) << server.last_error();
+  std::thread serve([&] { server.run(); });
+  CampaignSpecMsg spec = e2e_spec();
+  spec.injections_per_layer = 1;
+  for (int i = 0; i < 8; ++i) {
+    SubmitOptions sub;
+    sub.port = server.port();
+    sub.spec = spec;
+    std::ostringstream out, err;
+    ASSERT_EQ(run_submit(sub, nullptr, out, err), 0) << err.str();
+  }
+  // The last session, and the one before it if it was still winding down
+  // when the last submit connected.
+  EXPECT_LE(server.session_threads(), 2u);
+  server.request_stop();
+  serve.join();
 }
 
 TEST(ServeLoopback, SubmitAgainstDeadPortIsDiagnosed) {

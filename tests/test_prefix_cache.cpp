@@ -245,6 +245,30 @@ TEST(SuffixReplay, CachedGoldenTensorsSurviveCorruptingTrials) {
   EXPECT_TRUE(full.equals(golden));
 }
 
+TEST(SuffixReplay, SlicedReplayGivesItsSampleRowsOfTheBatch) {
+  // With no fault armed, replaying sample n alone must reproduce sample
+  // n's rows of the recorded batch's logits bit for bit.
+  Fixture f("tiny_resnet");
+  EmulatorConfig ecfg;
+  ecfg.format_spec = "fp_e5m10";
+  Emulator emu(*f.model, ecfg);
+  nn::ReplayPlan plan;
+  const Tensor golden = f.model->record_forward(plan, f.batch.images);
+  const int64_t batch = f.batch.images.size(0);
+  const nn::Module& site = *emu.sites()[emu.sites().size() / 2].module;
+  for (int64_t n = 0; n < batch; ++n) {
+    int64_t served = 0;
+    const Tensor row = f.model->forward_from(plan, site, f.batch.images,
+                                             &served, {n, batch});
+    EXPECT_TRUE(bitwise_equal(row, nn::sample_rows(golden, n, batch))) << n;
+    EXPECT_GT(served, 0);
+  }
+  EXPECT_THROW((void)f.model->forward_from(plan, site, f.batch.images,
+                                           nullptr, {batch, batch}),
+               std::invalid_argument);
+  EXPECT_THROW((void)nn::sample_rows(golden, 0, 3), std::invalid_argument);
+}
+
 // --- campaign-level integration --------------------------------------------
 
 TEST(PrefixCacheCampaign, CountersRecordReplays) {

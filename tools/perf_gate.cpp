@@ -5,10 +5,10 @@
 //             [--metrics wall_ms[,trials_per_sec_cache_on,...]]
 //             [--threshold 15]
 //
-// Exit status: 0 pass (or GE_PERF_GATE=off), 1 median regression beyond
+// Exit status: 0 pass (or GE_PERF_GATE=off), 1 a cell regressed beyond
 // the threshold, 2 usage / IO / parse error. The threshold is a percent:
-// --threshold 15 fails when the median current/baseline ratio across the
-// compared metrics exceeds 1.15.
+// --threshold 15 fails when any compared (row, metric) cell's
+// current/baseline ratio exceeds 1.15. Every failing cell is named.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,8 +27,8 @@ void usage(std::FILE* to) {
                "                 [--threshold PCT]          (default 15)\n"
                "\n"
                "Compares two BENCH_<name>.json files (bench/harness.hpp\n"
-               "format) row-by-row and exits 1 when the median\n"
-               "current/baseline ratio exceeds 1 + PCT/100.\n"
+               "format) row-by-row and exits 1 when any (row, metric)\n"
+               "cell's current/baseline ratio exceeds 1 + PCT/100.\n"
                "Set GE_PERF_GATE=off to skip the gate (always exits 0).\n");
 }
 
@@ -135,6 +135,10 @@ int main(int argc, char** argv) {
                    "perf_gate: no comparable rows — check --metrics and that "
                    "both files come from the same bench\n");
       return 2;
+    }
+    for (const auto& c : r.failed) {
+      std::printf("  [over threshold] %s %s %.3fx\n", c.row.c_str(),
+                  c.metric.c_str(), c.ratio);
     }
     std::printf("median ratio: %.3fx   worst: %.3fx   -> %s\n",
                 r.median_ratio, r.worst_ratio, r.pass ? "PASS" : "FAIL");
