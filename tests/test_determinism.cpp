@@ -40,9 +40,9 @@ struct Fixture {
   std::unique_ptr<nn::Module> model;
   data::Batch batch;
 
-  Fixture()
+  explicit Fixture(const std::string& model_name = "simple_cnn")
       : data(small_cfg()),
-        model(models::make_model("simple_cnn", data.config(), 3)),
+        model(models::make_model(model_name, data.config(), 3)),
         batch(data::take(data.test(), 0, 8)) {
     model->eval();
   }
@@ -153,12 +153,15 @@ TEST(Determinism, TelemetryDoesNotPerturbCampaignResults) {
 // The digest function itself now lives in the library (campaign_digest,
 // core/campaign.cpp) so the CLI prints the exact value pinned here.
 
-void expect_pinned_digest(CampaignConfig cfg, uint64_t want) {
+void expect_pinned_digest(CampaignConfig cfg, uint64_t want,
+                          const std::string& model_name = "simple_cnn") {
   ThreadGuard guard;
   for (int threads : {1, 4}) {
-    Fixture f;
+    Fixture f(model_name);
     parallel::set_num_threads(threads);
     const CampaignResult r = run_campaign(*f.model, f.batch, cfg);
+    // A cfg.layers entry naming no site would leave nothing to pin.
+    ASSERT_FALSE(r.layers.empty()) << "threads=" << threads;
     EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
   }
 }
@@ -180,6 +183,46 @@ TEST(Determinism, PinnedDigestWeightCampaign) {
   cfg.format_spec = "int8";
   cfg.site = InjectionSite::kWeightValue;
   expect_pinned_digest(cfg, 0x05ebde590ffab9b7ULL);
+}
+
+// Region campaigns pin the injector's channel/row map. On simple_cnn they
+// reach the rank-4 conv sites and the rank-2 Linear sites; the thinned
+// variant also pins the order the map walks a region in, since each
+// thinning draw lands on the element at that position.
+CampaignConfig region_cfg(ErrorModel model, double ber) {
+  CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
+  cfg.model = model;
+  cfg.ber = ber;
+  return cfg;
+}
+
+// tiny_deit limited to one MLP projection, whose (B, T, 4D) output is the
+// rank-3 token layout.
+CampaignConfig deit_token_cfg(ErrorModel model) {
+  CampaignConfig cfg = region_cfg(model, 0.5);
+  cfg.layers = {"block0.mlp.fc1"};
+  cfg.make_replica = [] {
+    return models::make_model("tiny_deit", small_cfg(), 0);
+  };
+  return cfg;
+}
+
+TEST(Determinism, PinnedDigestChannelCampaign) {
+  expect_pinned_digest(region_cfg(ErrorModel::kChannel, 0.0),
+                       0xf45cbcaeebdedf3aULL);
+  expect_pinned_digest(region_cfg(ErrorModel::kChannel, 0.5),
+                       0xdcf91dc73ccfc19fULL);
+  expect_pinned_digest(deit_token_cfg(ErrorModel::kChannel),
+                       0x9ffb5353ecad3c75ULL, "tiny_deit");
+}
+
+TEST(Determinism, PinnedDigestRowCampaign) {
+  expect_pinned_digest(region_cfg(ErrorModel::kRowBurst, 0.0),
+                       0x50031bec668dc6e1ULL);
+  expect_pinned_digest(region_cfg(ErrorModel::kRowBurst, 0.5),
+                       0xd1eb7d76dd983574ULL);
+  expect_pinned_digest(deit_token_cfg(ErrorModel::kRowBurst),
+                       0x3d99fc665d6c3a7cULL, "tiny_deit");
 }
 
 TEST(Determinism, PinnedDigestsUnchangedWithPrefixCacheOff) {

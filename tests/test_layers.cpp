@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "nn/activation.hpp"
 #include "nn/attention.hpp"
@@ -246,11 +247,44 @@ TEST(TransformerBlock, ShapePreservedAndResidualActive) {
   EXPECT_GT(dot / std::sqrt(nx * ny), 0.25);
 }
 
+/// Run `pe` on `x`, also returning its patch conv's (B, D, GH, GW) output.
+std::pair<Tensor, Tensor> patch_embed_with_conv(PatchEmbed& pe,
+                                                const Tensor& x) {
+  Module& proj = *pe.children().front().second;
+  Tensor conv;
+  const auto h = proj.add_forward_hook(
+      [&conv](Module&, Tensor& y) { conv = y; });
+  Tensor out = pe(x);
+  proj.remove_hook(h);
+  return {out, conv};
+}
+
 TEST(PatchEmbed, TokenisesImage) {
+  // Each sample's (D, G) conv block is read transposed:
+  // out[b][g][d] == proj(x)[b][d][g].
   Rng rng(17);
   PatchEmbed pe(3, 32, 4, rng);
-  Tensor y = pe(Tensor({2, 3, 16, 16}));
-  EXPECT_EQ(y.shape(), (Shape{2, 16, 32}));
+  const auto [y, conv] =
+      patch_embed_with_conv(pe, Rng(20).normal_tensor({2, 3, 16, 16}));
+  ASSERT_EQ(y.shape(), (Shape{2, 16, 32}));
+  ASSERT_EQ(conv.shape(), (Shape{2, 32, 4, 4}));
+  for (int64_t b = 0; b < 2; ++b) {
+    for (int64_t g = 0; g < 16; ++g) {
+      for (int64_t d = 0; d < 32; ++d) {
+        EXPECT_EQ(y[(b * 16 + g) * 32 + d], conv[(b * 32 + d) * 16 + g]);
+      }
+    }
+  }
+}
+
+TEST(PatchEmbed, SinglePatchSharesTheConvOutput) {
+  // One grid cell (G == 1): the transpose is the identity on storage.
+  Rng rng(21);
+  PatchEmbed pe(3, 8, 4, rng);
+  const auto [y, conv] =
+      patch_embed_with_conv(pe, Rng(22).normal_tensor({2, 3, 4, 4}));
+  EXPECT_EQ(y.shape(), (Shape{2, 1, 8}));
+  EXPECT_TRUE(y.shares_storage_with(conv));
 }
 
 TEST(ClassTokenPosEmbed, PrependsToken) {
@@ -263,9 +297,11 @@ TEST(ClassTokenPosEmbed, PrependsToken) {
 
 TEST(TakeClassToken, SelectsFirstToken) {
   TakeClassToken t;
-  Tensor x({1, 2, 3}, {1, 2, 3, 4, 5, 6});
+  // (B, T, D) = (2, 3, 3): token 0 of each sample.
+  Tensor x({2, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                       10, 11, 12, 13, 14, 15, 16, 17, 18});
   Tensor y = t(x);
-  EXPECT_TRUE(y.equals(Tensor({1, 3}, {1, 2, 3})));
+  EXPECT_TRUE(y.equals(Tensor({2, 3}, {1, 2, 3, 10, 11, 12})));
 }
 
 TEST(Loss, CrossEntropyKnownValue) {
