@@ -12,6 +12,7 @@
 #include "obs/run_log.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace ge::core {
 
@@ -103,25 +104,12 @@ struct TrialMeta {
   int64_t metadata_index = -1;
   float value_before = 0.0f;
   float value_after = 0.0f;
+  int64_t sample = 0;  ///< first sample whose top-1 moved, else sample 0
   int64_t golden_top1 = -1;
   int64_t faulty_top1 = -1;
   int64_t latency_ns = 0;  ///< arm -> disarm, one full faulty inference
   bool fired = false;
 };
-
-/// Top-1 class of sample 0 in a [batch, classes] logits tensor. First
-/// maximum wins, matching ops::argmax_rows.
-int64_t sample0_top1(const Tensor& logits, size_t n_samples) {
-  if (n_samples == 0) return -1;
-  const int64_t classes =
-      logits.numel() / static_cast<int64_t>(n_samples);
-  const float* row = logits.cdata();
-  int64_t best = 0;
-  for (int64_t c = 1; c < classes; ++c) {
-    if (row[c] > row[best]) best = c;
-  }
-  return best;
-}
 
 /// Whether every trial of `cfg` is one activation-value fault that reaches
 /// a single sample: one element (flip, stuck-at, burst) or one row.
@@ -694,10 +682,15 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
                   m.value_before = rec->value_before;
                   m.value_after = rec->value_after;
                 }
-                m.golden_top1 = golden.predictions.empty()
-                                    ? -1
-                                    : golden.predictions.front();
-                m.faulty_top1 = sample0_top1(logits, batch.labels.size());
+                const std::vector<int64_t> top1 = ops::argmax_rows(logits);
+                const auto moved = std::mismatch(top1.begin(), top1.end(),
+                                                 golden.predictions.begin());
+                if (moved.first != top1.end()) {
+                  m.sample = moved.first - top1.begin();
+                }
+                m.golden_top1 =
+                    golden.predictions[static_cast<size_t>(m.sample)];
+                m.faulty_top1 = top1[static_cast<size_t>(m.sample)];
               }
             }
           });
@@ -735,6 +728,7 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
             }
             row.num("value_before", static_cast<double>(m.value_before))
                 .num("value_after", static_cast<double>(m.value_after))
+                .num("sample", m.sample)
                 .num("golden_top1", m.golden_top1)
                 .num("faulty_top1", m.faulty_top1)
                 .num("mismatched", o.mismatched_samples)

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "obs/telemetry.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::core {
 
@@ -38,6 +37,28 @@ void for_each_bernoulli_hit(std::mt19937_64& engine, int64_t slots,
   }
 }
 
+/// y's storage as (outer, count, inner) blocks for a row or channel fault:
+/// region r is the inner-element run at position r of each outer block.
+struct RegionAxes {
+  int64_t outer, count, inner;
+};
+
+RegionAxes region_axes(ErrorModel model, const Tensor& y) {
+  const int64_t n = y.numel();
+  if (model == ErrorModel::kChannel) {
+    switch (y.dim()) {
+      case 4: return {y.size(0), y.size(1), y.size(2) * y.size(3)};
+      case 3: return {y.size(0) * y.size(1), y.size(2), 1};
+      case 2: return {y.size(0), y.size(1), 1};
+      default: break;
+    }
+  } else if (y.dim() >= 2) {
+    const int64_t w = y.size(-1);
+    return {1, w > 0 ? n / w : 0, w};
+  }
+  return {1, n > 0 ? 1 : 0, n};
+}
+
 }  // namespace
 
 const char* to_string(InjectionSite site) {
@@ -64,8 +85,8 @@ const char* to_string(ErrorModel model) {
 
 int64_t target_count(const InjectionSpec& spec, const Tensor& y) {
   switch (spec.model) {
-    case ErrorModel::kRowBurst: return row_count(y);
-    case ErrorModel::kChannel: return channel_count(y);
+    case ErrorModel::kRowBurst:
+    case ErrorModel::kChannel: return region_axes(spec.model, y).count;
     default: return y.numel();
   }
 }
@@ -80,6 +101,11 @@ int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng) {
                                 ")");
   }
   return spec.element;
+}
+
+Region region_of(const InjectionSpec& spec, const Tensor& y, int64_t r) {
+  const RegionAxes a = region_axes(spec.model, y);
+  return {r * a.inner, a.inner, a.count * a.inner, a.outer * a.inner};
 }
 
 Injector::Injector(Emulator& emulator, uint64_t seed)
@@ -368,12 +394,10 @@ InjectionRecord Injector::apply_burst(const InjectionSpec& spec,
 InjectionRecord Injector::apply_region(const InjectionSpec& spec,
                                        LayerSite& site, Tensor& y) {
   fmt::NumberFormat& f = *site.act_format;
-  const bool channel = spec.model == ErrorModel::kChannel;
-  const int64_t r = draw_target(spec, y, draw_rng());
-  // The view supplies geometry only: writes go through y's own element
-  // accessor at true storage indices, so block-context formats (BFP)
-  // encode/decode each element inside its dense-capture block.
-  TensorView view = channel ? channel_view(y, r) : row_view(y, r);
+  // Writes go through y's own element accessor at true storage indices,
+  // so block-context formats (BFP) encode/decode each element inside its
+  // dense-capture block.
+  const Region region = region_of(spec, y, draw_target(spec, y, draw_rng()));
 
   InjectionRecord rec;
   rec.layer_path = site.path;
@@ -386,9 +410,9 @@ InjectionRecord Injector::apply_region(const InjectionSpec& spec,
   // fault). ber 0 means no thinning: every element, no draws.
   rec.bits = choose_bits(f.bit_width(), spec.bit, spec.num_bits);
   for_each_bernoulli_hit(
-      draw_rng().engine(), view.numel(), spec.ber > 0.0 ? spec.ber : 1.0,
+      draw_rng().engine(), region.size, spec.ber > 0.0 ? spec.ber : 1.0,
       [&](int64_t i) {
-        const int64_t s = view.flat_offset(i);
+        const int64_t s = region.at(i);
         fmt::BitString bits = f.real_to_format_at(y[s], s);
         perturb(bits, spec.model, rec.bits);
         const float before = y[s];

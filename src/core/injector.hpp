@@ -99,6 +99,31 @@ struct InjectionSpec {
 int64_t target_count(const InjectionSpec& spec, const Tensor& y);
 int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng);
 
+/// The storage indices a kRowBurst or kChannel fault hits: element i of the
+/// region (i < size) is y's element first + (i / run) * stride + i % run.
+struct Region {
+  int64_t first = 0;
+  int64_t run = 1;
+  int64_t stride = 0;
+  int64_t size = 0;
+
+  int64_t at(int64_t i) const { return first + (i / run) * stride + i % run; }
+};
+
+/// Region `r` of `y` for spec.model (kChannel; anything else reads as a
+/// row), per activation rank:
+///   rank 4 (N,C,H,W): channel c = feature map c across the batch, N runs
+///                     of H*W; row = one contiguous W run (fixed n, c, h).
+///   rank 3 (B,T,D):   channel d = embedding lane d of every token;
+///                     row = one token's D-vector.
+///   rank 2 (B,F):     channel f = feature f of every sample;
+///                     row = one sample's F-vector.
+///   rank <= 1:        one region, the whole tensor.
+/// A channel of rank >= 5 is the whole tensor too; a row of any rank >= 2
+/// is one last-dimension run.
+/// `r` must lie in [0, target_count(spec, y)), as draw_target ensures.
+Region region_of(const InjectionSpec& spec, const Tensor& y, int64_t r);
+
 /// What an armed injection actually did (resolved random choices).
 struct InjectionRecord {
   std::string layer_path;

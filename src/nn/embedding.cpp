@@ -1,8 +1,7 @@
 #include "nn/embedding.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "tensor/tensor_view.hpp"
 
 namespace ge::nn {
 
@@ -24,12 +23,14 @@ Tensor PatchEmbed::forward(const Tensor& input) {
   // instead of copying it.
   if (G == 1) return y.reshape({B, G, D});
   Tensor out({B, G, D});
+  const float* py = y.cdata();
   float* po = out.data();
   for (int64_t b = 0; b < B; ++b) {
-    // Batch b's (D, G) block read transposed: shape {G, D}, stride 1 down
-    // the patch axis, stride G across embedding lanes.
-    const ConstTensorView tile(y, b * D * G, {G, D}, {1, G});
-    tile.materialize_into(po + b * G * D);
+    for (int64_t g = 0; g < G; ++g) {
+      for (int64_t d = 0; d < D; ++d) {
+        po[(b * G + g) * D + d] = py[(b * D + d) * G + g];
+      }
+    }
   }
   return out;
 }
@@ -128,11 +129,10 @@ Tensor TakeClassToken::forward(const Tensor& input) {
   // Single-token input: taking token 0 is the whole tensor — share the
   // storage instead of copying it.
   if (T == 1) return input.reshape({B, D});
-  // Token-0 rows as a strided view: unit-stride D runs, one per batch;
-  // materialize_into copies whole rows instead of gathering scalars.
-  const ConstTensorView cls(input, 0, {B, D}, {T * D, 1});
   Tensor out({B, D});
-  cls.materialize_into(out.data());
+  const float* pin = input.cdata();
+  float* po = out.data();
+  for (int64_t b = 0; b < B; ++b) std::copy_n(pin + b * T * D, D, po + b * D);
   return out;
 }
 
@@ -148,7 +148,6 @@ Tensor TakeClassToken::backward(const Tensor& grad_out) {
   for (int64_t b = 0; b < B; ++b) {
     for (int64_t d = 0; d < D; ++d) po[(b * T) * D + d] = pg[b * D + d];
   }
-  (void)T;
   return gx;
 }
 

@@ -157,11 +157,6 @@ class Tensor {
   }
   void detach_storage();
 
-  /// ConstTensorView pins the storage block (a shared_ptr share) so a view
-  /// outlives any rebinding of the tensor it was taken from; it never
-  /// detaches. Mutable views go through the public data() path instead.
-  friend class ConstTensorView;
-
   Shape shape_{0};
   std::shared_ptr<std::vector<float>> data_;
 };

@@ -698,6 +698,38 @@ TEST(SlicedReplayTest, ReportRowsMatchTheFullBatchReplay) {
   }
 }
 
+/// The integer after `"key":` in a JSON row.
+int64_t row_int(const std::string& row, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const size_t at = row.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << key << " in " << row;
+    return -1;
+  }
+  return std::stoll(row.substr(at + tag.size()));
+}
+
+TEST(CampaignReportTest, TrialRowsShowTheSampleWhoseTop1Moved) {
+  // An SDC row names the first sample whose prediction changed; any other
+  // row names sample 0, whose prediction held.
+  CampaignConfig cfg = campaign_cfg();
+  cfg.injections_per_layer = 24;
+  int64_t sdc = 0;
+  for (const std::string& row : trial_rows(cfg)) {
+    const int64_t sample = row_int(row, "sample");
+    const int64_t golden = row_int(row, "golden_top1");
+    const int64_t faulty = row_int(row, "faulty_top1");
+    if (row.find("\"class\":\"sdc\"") != std::string::npos) {
+      ++sdc;
+      EXPECT_NE(faulty, golden) << row;
+    } else {
+      EXPECT_EQ(sample, 0) << row;
+      EXPECT_EQ(faulty, golden) << row;
+    }
+  }
+  EXPECT_GT(sdc, 0);
+}
+
 /// Subtracts the batch mean of every feature: computation across
 /// samples, which the prepare-time check must catch.
 struct BatchCentre : nn::Module {
