@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "formats/format_registry.hpp"
 #include "io/campaign_state.hpp"
 #include "nn/loss.hpp"
 #include "obs/histogram.hpp"
@@ -49,6 +50,9 @@ struct WorkerCtx {
   /// This slot's golden-prefix replay plan (keyed to its own module tree);
   /// null when the cache is off or unusable.
   const nn::ReplayPlan* plan = nullptr;
+  /// This slot's copy of the module where sliced replays widen back to
+  /// the full batch; null when they never do.
+  const nn::Module* widen_at = nullptr;
 };
 
 /// Copy parameter and buffer values from `src` into `dst` positionally
@@ -111,32 +115,76 @@ struct TrialMeta {
   bool fired = false;
 };
 
-/// Whether every trial of `cfg` is one activation-value fault that reaches
-/// a single sample: one element (flip, stuck-at, burst) or one row.
+/// Whether every trial of `cfg` is one fault that reaches a single sample
+/// wherever its registers do: one activation element (flip, stuck-at,
+/// burst), one row, or one metadata register (flip, stuck-at).
 bool single_sample_faults(const CampaignConfig& cfg) {
-  if (cfg.site != InjectionSite::kActivationValue || cfg.sites_per_trial != 1) {
+  if (cfg.site == InjectionSite::kWeightValue || cfg.sites_per_trial != 1) {
     return false;
   }
   switch (cfg.model) {
     case ErrorModel::kBitFlip:
     case ErrorModel::kStuckAt0:
-    case ErrorModel::kStuckAt1:
+    case ErrorModel::kStuckAt1: return true;
     case ErrorModel::kBurst:
-    case ErrorModel::kRowBurst: return true;
+    case ErrorModel::kRowBurst:
+      return cfg.site == InjectionSite::kActivationValue;
     default: return false;
   }
 }
 
-/// Whether `model` keeps the samples of `images` apart: in a golden
-/// forward of the last sample alone, every module's output must equal,
+/// The first instrumented site, in execution order, where one metadata
+/// register of its recorded output covers elements of two samples: the
+/// register span does not divide the per-sample element count. Null when
+/// no site couples samples (always so under value-only formats).
+const LayerSite* coupling_site(const std::vector<LayerSite>& sites,
+                               const nn::ReplayPlan& plan, int64_t batch) {
+  const LayerSite* first = nullptr;
+  for (const LayerSite& site : sites) {
+    const Tensor* y = plan.recorded_output(*site.module);
+    if (y == nullptr || y->numel() == 0) continue;
+    const int64_t n = y->numel();
+    if (n % batch == 0 &&
+        (n / batch) % site.act_format->register_span(n) == 0) {
+      continue;
+    }
+    // Distinct sites never nest, so one completes before the other enters.
+    if (first == nullptr || plan.skipped_for(*first->module, *site.module)) {
+      first = &site;
+    }
+  }
+  return first;
+}
+
+/// Whether an unarmed replay from `site` of the last sample, widened as
+/// `slice` says, reproduces `golden` (the recorded logits) bitwise. A
+/// replay that throws — a batch-1 tensor meeting a full-batch one in the
+/// glue of a module that contains the widen point — does not.
+bool widened_replay_exact(nn::Module& model, const nn::ReplayPlan& plan,
+                          const nn::Module& site, const Tensor& images,
+                          const nn::SampleSlice& slice, const Tensor& golden) {
+  Tensor y;
+  try {
+    y = model.forward_from(plan, site, images, nullptr, slice);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return y.shape() == golden.shape() &&
+         std::memcmp(y.cdata(), golden.cdata(),
+                     static_cast<size_t>(y.numel()) * sizeof(float)) == 0;
+}
+
+/// Whether `model` keeps the samples of `images` apart up to `widen_at`
+/// (the whole forward when null): in a golden forward of the last sample
+/// alone, every module that completes before widen_at enters must output,
 /// bitwise and in shape, that sample's rows of the module's record in
 /// `plan`, which recorded the whole batch. A record whose first extent is
 /// not a multiple of the batch fails. Nothing is armed, so this is the
 /// golden forward at batch 1. Outputs are compared as they are produced,
-/// by a forward hook on each recorded module, so the check never holds a
+/// by a forward hook on each compared module, so the check never holds a
 /// second set of activations next to the golden plan.
 bool separable_by_sample(nn::Module& model, const nn::ReplayPlan& plan,
-                         const Tensor& images) {
+                         const Tensor& images, const nn::Module* widen_at) {
   const int64_t batch = images.size(0);
   int64_t compared = 0;
   bool same = true;
@@ -148,7 +196,10 @@ bool separable_by_sample(nn::Module& model, const nn::ReplayPlan& plan,
   } hooks;
   for (const auto& [path, m] : model.named_modules()) {
     const Tensor* full = plan.recorded_output(*m);
-    if (full == nullptr) continue;
+    if (full == nullptr ||
+        (widen_at != nullptr && !plan.skipped_for(*widen_at, *m))) {
+      continue;
+    }
     hooks.list.emplace_back(
         m, m->add_forward_hook([&, full](nn::Module&, Tensor& row) {
           ++compared;
@@ -251,12 +302,83 @@ struct CampaignSession::State {
   GoldenRun golden;
   std::vector<nn::ReplayPlan> rplans;
   bool cache_on = false;
-  /// Sample-sliced replay (DESIGN.md §10): each trial replays only the
-  /// sample its fault reaches.
+  /// Sample-sliced replay (DESIGN.md §10): a trial at a site that
+  /// completes before `widen_at` enters (any site when it is null) replays
+  /// only the sample its fault reaches.
   bool sliced = false;
+  /// The primary model's widen point, where sliced replays return to the
+  /// full batch (null: they never do), and its golden input.
+  const nn::Module* widen_at = nullptr;
+  Tensor widen_input;
   /// Campaigned layers, as indices into the primary emulator's sites().
   std::vector<size_t> layer_sites;
+
+  void prepare_slicing(nn::Module& model);
 };
+
+/// Decide which trials replay one sample. A single-sample fault leaves
+/// every other sample's rows golden up to the first site W whose metadata
+/// registers couple two samples. The widen point A is W, or the innermost
+/// module containing W whose glue accepts a widened input: an unarmed
+/// replay of the last sample that widens at A must give the golden logits
+/// bitwise. Every module completing before A enters must also keep the
+/// samples apart, which one batch-1 golden forward checks. With no W, the
+/// replay stays at batch 1 to the end.
+void CampaignSession::State::prepare_slicing(nn::Module& model) {
+  const std::vector<LayerSite>& sites = ctxs[0].emu->sites();
+  const Tensor& images = batch.images;
+  const int64_t bsz = images.size(0);
+  std::string a_path;
+  Tensor a_input;
+  if (const LayerSite* w = coupling_site(sites, plan0, bsz)) {
+    // Candidates from W outward; the root never qualifies, as nothing
+    // completes before it enters.
+    for (std::string path = w->path;;) {
+      const nn::Module& cand = *model.find_module(path);
+      // The check replays from a campaigned site that completes before
+      // cand enters; with none, no trial would slice.
+      const auto site = std::find_if(
+          layer_sites.begin(), layer_sites.end(), [&](size_t li) {
+            return plan0.skipped_for(cand, *sites[li].module);
+          });
+      if (site == layer_sites.end()) return;
+      obs::Span check_span("campaign", "slice_check");
+      Tensor input = model.replay_input(plan0, cand, images);
+      if (widened_replay_exact(model, plan0, *sites[*site].module, images,
+                               {bsz - 1, bsz, &cand, input}, golden.logits)) {
+        a_path = path;
+        a_input = std::move(input);
+        break;
+      }
+      const size_t dot = path.rfind('.');
+      if (dot == std::string::npos) {
+        obs::log(1, "campaign: no module containing '" + w->path +
+                        "' takes a widened sample; replaying every trial at "
+                        "full batch");
+        return;
+      }
+      path.resize(dot);
+    }
+  }
+
+  obs::Span check_span("campaign", "slice_check");
+  const nn::Module* a = a_path.empty() ? nullptr : model.find_module(a_path);
+  sliced = separable_by_sample(model, plan0, images, a);
+  if (!sliced) {
+    obs::log(1,
+             "campaign: a batch-1 golden forward differs from its rows of "
+             "the batch; replaying every trial at full batch");
+    return;
+  }
+  if (a == nullptr) return;
+  widen_at = a;
+  widen_input = std::move(a_input);
+  // Replicas share module paths with the primary (ReplayPlan::translate
+  // checked), so each finds its own copy of A by path.
+  for (WorkerCtx& ctx : ctxs) ctx.widen_at = ctx.model->find_module(a_path);
+  obs::log(1, "campaign: sliced replays widen to the full batch at '" +
+                  a_path + "'");
+}
 
 CampaignSession::CampaignSession(nn::Module& model, const data::Batch& batch,
                                  const CampaignConfig& cfg)
@@ -358,22 +480,8 @@ CampaignSession::CampaignSession(nn::Module& model, const data::Batch& batch,
     if (campaigned(sites[li], cfg)) s.layer_sites.push_back(li);
   }
 
-  // Sample-sliced replay. A single-sample fault under formats that
-  // quantise each element on their own (no metadata register at any site)
-  // leaves every other sample's rows golden, as long as the model never
-  // computes across samples — which one batch-1 golden forward checks
-  // before any trial relies on it.
-  if (s.cache_on && single_sample_faults(cfg) && s.batch.images.size(0) > 1 &&
-      std::none_of(sites.begin(), sites.end(), [](const LayerSite& site) {
-        return site.act_format->has_metadata();
-      })) {
-    obs::Span check_span("campaign", "slice_check");
-    s.sliced = separable_by_sample(model, s.plan0, s.batch.images);
-    if (!s.sliced) {
-      obs::log(1,
-               "campaign: a batch-1 golden forward differs from its rows of "
-               "the batch; replaying every trial at full batch");
-    }
+  if (s.cache_on && single_sample_faults(cfg) && s.batch.images.size(0) > 1) {
+    s.prepare_slicing(model);
   }
 }
 
@@ -560,14 +668,20 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
     layer_spec.ber = cfg.ber;
     layer_spec.burst_len = cfg.burst_len;
 
-    // A sliced layer maps each trial's target (element or row of the
-    // site's golden output) to the sample holding it: `per_sample`
-    // targets each, sample_numel elements each. 0 = full-batch replays.
+    // A sliced layer — its site completes before the widen point, if any —
+    // maps each trial's target (element, row or register of the site's
+    // golden output) to the sample holding it: `per_sample` targets each,
+    // sample_numel elements each. 0 = full-batch replays.
     const int64_t batch_size = batch.images.size(0);
+    const bool layer_sliced =
+        state_->sliced && (state_->widen_at == nullptr ||
+                           plan0.skipped_for(*state_->widen_at, *site.module));
     const Tensor* site_golden =
-        state_->sliced ? plan0.recorded_output(*site.module) : nullptr;
+        layer_sliced ? plan0.recorded_output(*site.module) : nullptr;
     const int64_t targets =
-        site_golden != nullptr ? target_count(layer_spec, *site_golden) : 0;
+        site_golden != nullptr
+            ? target_count(layer_spec, *site_golden, *site.act_format)
+            : 0;
     const int64_t per_sample =
         targets % batch_size == 0 ? targets / batch_size : 0;
     const int64_t sample_numel =
@@ -605,10 +719,15 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
               // rest of the fault with the advanced stream.
               nn::SampleSlice slice;
               if (per_sample > 0) {
-                const int64_t target =
-                    draw_target(spec, *site_golden, trial_rng);
-                slice = {target / per_sample, batch_size};
-                spec.element = target % per_sample;
+                const int64_t target = draw_target(spec, *site_golden,
+                                                   *site.act_format, trial_rng);
+                slice = {target / per_sample, batch_size, ctx.widen_at,
+                         state_->widen_input};
+                if (cfg.site == InjectionSite::kMetadata) {
+                  spec.metadata_index = target % per_sample;
+                } else {
+                  spec.element = target % per_sample;
+                }
               }
               if (want_comp == 0) {
                 ctx.inj->arm(spec, trial_rng);
@@ -655,7 +774,10 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
                 obs::add(obs::Counter::kSuffixLayersSkipped,
                          static_cast<uint64_t>(served));
                 if (slice.batch > 1) {
-                  logits = splice_sample(golden.logits, logits, slice.index);
+                  // A widened replay already returns the full batch.
+                  if (slice.widen_at == nullptr) {
+                    logits = splice_sample(golden.logits, logits, slice.index);
+                  }
                   obs::add(obs::Counter::kSlicedReplays);
                 }
               } else {
@@ -672,13 +794,18 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
                 if (const auto& rec = ctx.inj->last_record()) {
                   m.fired = true;
                   m.element = rec->element;
-                  if (slice.batch > 1 && m.element >= 0) {
-                    m.element += slice.index * sample_numel;
-                  }
                   m.bit = rec->bits.empty() ? -1 : rec->bits.front();
                   m.affected = rec->affected;
                   m.metadata_field = rec->metadata_field;
                   m.metadata_index = rec->metadata_index;
+                  // Report a sliced trial as the full batch sees it.
+                  if (slice.batch > 1 && m.element >= 0) {
+                    m.element += slice.index * sample_numel;
+                  }
+                  if (slice.batch > 1 && m.metadata_index >= 0) {
+                    m.metadata_index += slice.index * per_sample;
+                    m.affected = site_golden->numel();  // the re-decode
+                  }
                   m.value_before = rec->value_before;
                   m.value_after = rec->value_after;
                 }
@@ -838,6 +965,17 @@ int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg) {
   return std::count_if(
       emu.sites().begin(), emu.sites().end(),
       [&](const LayerSite& site) { return campaigned(site, cfg); });
+}
+
+std::string no_layer_reason(const std::string& format_spec,
+                            InjectionSite site) {
+  if (site != InjectionSite::kMetadata ||
+      fmt::make_format(format_spec)->has_metadata()) {
+    return "";
+  }
+  return "format '" + format_spec +
+         "' has no metadata register: --site metadata needs an int, bfp or "
+         "afp format";
 }
 
 CampaignResult finalize_campaign(const CampaignProgress& progress) {

@@ -236,6 +236,13 @@ int64_t owned_trials_remaining(const CampaignProgress& progress);
 /// already knows its count (layer_count()).
 int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg);
 
+/// Why a `site` campaign under `format_spec` (a valid registry spec)
+/// would select no layer, or "" when it selects some: the metadata site
+/// needs a format with metadata registers. The CLI and the campaign
+/// server refuse such a spec instead of running zero trials.
+std::string no_layer_reason(const std::string& format_spec,
+                            InjectionSite site);
+
 /// Aggregate a complete progress into per-layer statistics. The
 /// aggregation order is trial order, so the result is bitwise identical
 /// no matter how the trials were scheduled, sharded, or resumed. Throws

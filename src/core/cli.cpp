@@ -420,6 +420,10 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     err << "campaign: unknown --site '" << site << "'\n";
     return 2;
   }
+  if (const std::string why = no_layer_reason(cfg.format_spec, cfg.site);
+      !why.empty()) {
+    throw UsageError(why);
+  }
   const std::string em = get(p, "error-model", "flip");
   if (em == "flip") {
     cfg.model = ErrorModel::kBitFlip;
@@ -1056,6 +1060,10 @@ net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
     site_e = InjectionSite::kMetadata;
   } else {
     throw UsageError("unknown --site '" + site + "'");
+  }
+  if (const std::string why = no_layer_reason(spec.format_spec, site_e);
+      !why.empty()) {
+    throw UsageError(why);
   }
   const std::string em = get(p, "error-model", "flip");
   ErrorModel model_e = ErrorModel::kBitFlip;

@@ -83,7 +83,12 @@ const char* to_string(ErrorModel model) {
   return "?";
 }
 
-int64_t target_count(const InjectionSpec& spec, const Tensor& y) {
+int64_t target_count(const InjectionSpec& spec, const Tensor& y,
+                     const fmt::NumberFormat& f) {
+  if (spec.site == InjectionSite::kMetadata) {
+    const int64_t span = f.register_span(y.numel());
+    return span > 0 ? (y.numel() + span - 1) / span : 0;
+  }
   switch (spec.model) {
     case ErrorModel::kRowBurst:
     case ErrorModel::kChannel: return region_axes(spec.model, y).count;
@@ -91,16 +96,19 @@ int64_t target_count(const InjectionSpec& spec, const Tensor& y) {
   }
 }
 
-int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng) {
-  const int64_t n = target_count(spec, y);
-  if (spec.element < 0) return rng.randint(0, n - 1);
-  if (spec.element >= n) {
+int64_t draw_target(const InjectionSpec& spec, const Tensor& y,
+                    const fmt::NumberFormat& f, Rng& rng) {
+  const int64_t n = target_count(spec, y, f);
+  const int64_t fixed = spec.site == InjectionSite::kMetadata
+                            ? spec.metadata_index
+                            : spec.element;
+  if (fixed < 0) return rng.randint(0, n - 1);
+  if (fixed >= n) {
     throw std::invalid_argument("Injector: target index " +
-                                std::to_string(spec.element) +
-                                " out of range [0, " + std::to_string(n) +
-                                ")");
+                                std::to_string(fixed) + " out of range [0, " +
+                                std::to_string(n) + ")");
   }
-  return spec.element;
+  return fixed;
 }
 
 Region region_of(const InjectionSpec& spec, const Tensor& y, int64_t r) {
@@ -303,7 +311,7 @@ InjectionRecord Injector::apply_activation(const InjectionSpec& spec,
     default: break;  // classic single-element models below
   }
   fmt::NumberFormat& f = *site.act_format;
-  const int64_t element = draw_target(spec, y, draw_rng());
+  const int64_t element = draw_target(spec, y, f, draw_rng());
   InjectionRecord rec;
   rec.layer_path = site.path;
   rec.site = InjectionSite::kActivationValue;
@@ -367,7 +375,7 @@ InjectionRecord Injector::apply_ber(const InjectionSpec& spec,
 InjectionRecord Injector::apply_burst(const InjectionSpec& spec,
                                       LayerSite& site, Tensor& y) {
   fmt::NumberFormat& f = *site.act_format;
-  const int64_t element = draw_target(spec, y, draw_rng());
+  const int64_t element = draw_target(spec, y, f, draw_rng());
   const int width = f.bit_width();
   const int start = spec.bit >= 0
                         ? spec.bit
@@ -397,7 +405,8 @@ InjectionRecord Injector::apply_region(const InjectionSpec& spec,
   // Writes go through y's own element accessor at true storage indices,
   // so block-context formats (BFP) encode/decode each element inside its
   // dense-capture block.
-  const Region region = region_of(spec, y, draw_target(spec, y, draw_rng()));
+  const Region region =
+      region_of(spec, y, draw_target(spec, y, f, draw_rng()));
 
   InjectionRecord rec;
   rec.layer_path = site.path;
@@ -445,9 +454,7 @@ InjectionRecord Injector::apply_metadata(const InjectionSpec& spec,
                                   spec.metadata_field + "'");
     }
   }
-  const int64_t index = spec.metadata_index >= 0
-                            ? spec.metadata_index
-                            : draw_rng().randint(0, field->count - 1);
+  const int64_t index = draw_target(spec, y, f, draw_rng());
 
   InjectionRecord rec;
   rec.layer_path = site.path;

@@ -87,17 +87,22 @@ struct InjectionSpec {
   int burst_len = 2;           ///< kBurst: contiguous bits flipped
 };
 
-/// What a single-site activation fault of `spec` picks first in the layer
-/// output `y`: an element (classic models, kBurst) or a row/channel index
-/// (kRowBurst, kChannel). target_count is the number of choices.
-/// draw_target returns spec.element when it is set, else one uniform draw
-/// from `rng`; an explicit index outside [0, target_count) throws
-/// std::invalid_argument. The injector's hook draws the target this way at
-/// fire time; a campaign replaying one sample draws it before arming, from
-/// the same trial stream, and arms the rest of the fault with the advanced
-/// stream, so every later draw of the trial stays where it was.
-int64_t target_count(const InjectionSpec& spec, const Tensor& y);
-int64_t draw_target(const InjectionSpec& spec, const Tensor& y, Rng& rng);
+/// What a single-site fault of `spec` picks first in the layer output `y`
+/// quantised under `f`: an element (classic models, kBurst), a row/channel
+/// index (kRowBurst, kChannel), or, at the metadata site, a register (one
+/// per f.register_span(y.numel()) elements). target_count is the number of
+/// choices. draw_target returns the spec's explicit index (spec.element,
+/// or spec.metadata_index at the metadata site) when it is set, else one
+/// uniform draw from `rng`; an explicit index outside [0, target_count)
+/// throws std::invalid_argument. The injector's hook draws the target this
+/// way at fire time; a campaign replaying one sample draws it before
+/// arming, from the same trial stream, and arms the rest of the fault with
+/// the advanced stream, so every later draw of the trial stays where it
+/// was.
+int64_t target_count(const InjectionSpec& spec, const Tensor& y,
+                     const fmt::NumberFormat& f);
+int64_t draw_target(const InjectionSpec& spec, const Tensor& y,
+                    const fmt::NumberFormat& f, Rng& rng);
 
 /// The storage indices a kRowBurst or kChannel fault hits: element i of the
 /// region (i < size) is y's element first + (i / run) * stride + i % run.

@@ -49,6 +49,7 @@ class AfpFormat : public NumberFormat {
 
   /// --- metadata: the exponent-bias register --------------------------------
   bool has_metadata() const override { return true; }
+  int64_t register_span(int64_t numel) const override { return numel; }
   std::vector<MetadataField> metadata_fields() const override;
   BitString read_metadata(const std::string& field,
                           int64_t index) const override;

@@ -38,6 +38,9 @@ class BfpFormat : public NumberFormat {
 
   /// --- metadata: one shared-exponent register per block --------------------
   bool has_metadata() const override { return true; }
+  int64_t register_span(int64_t numel) const override {
+    return block_size_ == 0 ? numel : block_size_;
+  }
   std::vector<MetadataField> metadata_fields() const override;
   BitString read_metadata(const std::string& field,
                           int64_t index) const override;

@@ -26,6 +26,7 @@ class IntFormat : public NumberFormat {
 
   /// --- metadata: the scale-factor register --------------------------------
   bool has_metadata() const override { return true; }
+  int64_t register_span(int64_t numel) const override { return numel; }
   std::vector<MetadataField> metadata_fields() const override;
   BitString read_metadata(const std::string& field,
                           int64_t index) const override;

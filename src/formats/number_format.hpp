@@ -110,6 +110,11 @@ class NumberFormat {
 
   /// --- hardware metadata ------------------------------------------------
   virtual bool has_metadata() const { return false; }
+  /// How many consecutive elements of a `numel`-element tensor one
+  /// metadata register covers: 1 when no register couples elements (the
+  /// value-only formats), the block size for BFP, `numel` for a
+  /// per-tensor register (INT scale, AFP bias, whole-tensor BFP).
+  virtual int64_t register_span(int64_t /*numel*/) const { return 1; }
   /// Register families captured by the last tensor quantisation.
   virtual std::vector<MetadataField> metadata_fields() const { return {}; }
   /// Read register `index` of `field` as raw bits.

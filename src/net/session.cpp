@@ -94,6 +94,11 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
   if (spec.burst_len < 1) {
     throw NetError("campaign spec: burst_len must be >= 1");
   }
+  if (const std::string why = core::no_layer_reason(
+          spec.format_spec, static_cast<core::InjectionSite>(spec.site));
+      !why.empty()) {
+    throw NetError("campaign spec: " + why);
+  }
 
   core::CampaignConfig cfg;
   cfg.format_spec = spec.format_spec;

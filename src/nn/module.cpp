@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -20,6 +21,9 @@ struct ReplayCtx {
   int64_t fire_enter = 0;  ///< enter index of the fault site's invocation
   int64_t served = 0;      ///< invocations returned from the cache
   SampleSlice slice;       ///< sliced replay: served outputs are cut to it
+  const Module* site = nullptr;  ///< the fault site (replay mode)
+  /// Receives the site's input as operator() is given it, when set.
+  std::optional<Tensor>* site_input = nullptr;
 };
 
 thread_local ReplayCtx* tl_replay = nullptr;
@@ -29,6 +33,24 @@ struct ReplayScope {
   explicit ReplayScope(ReplayCtx& ctx) { tl_replay = &ctx; }
   ~ReplayScope() { tl_replay = nullptr; }
 };
+
+/// `full` (a recorded batch of `batch` samples) with sample `index`'s
+/// rows replaced by `rows`. Copies.
+Tensor widen_rows(const Tensor& full, const Tensor& rows, int64_t index,
+                  int64_t batch) {
+  Shape cut = full.shape();
+  if (!cut.empty() && cut[0] % batch == 0) cut[0] /= batch;
+  if (cut.empty() || rows.shape() != cut) {
+    throw std::invalid_argument("forward_from: cannot widen rows of shape " +
+                                shape_to_string(rows.shape()) +
+                                " into shape " +
+                                shape_to_string(full.shape()));
+  }
+  Tensor out = full;  // O(1) share; the write below detaches a copy
+  std::copy_n(rows.cdata(), rows.numel(),
+              out.data() + index * rows.numel());
+  return out;
+}
 
 }  // namespace
 
@@ -127,6 +149,17 @@ Tensor Module::operator()(const Tensor& input) {
   if (rc == nullptr) return run_forward(input);
 
   if (rc->plan != nullptr) {
+    if (this == rc->slice.widen_at) {
+      // Widen: the replayed sample's rows rejoin the recorded batch, and
+      // from here on nothing is cut.
+      const Tensor x = widen_rows(rc->slice.widen_input, input,
+                                  rc->slice.index, rc->slice.batch);
+      rc->slice = {};
+      return run_forward(x);
+    }
+    if (this == rc->site && rc->site_input != nullptr) {
+      *rc->site_input = input;  // O(1) share
+    }
     // Replay: serve any invocation that completed strictly before the
     // fault site entered. Everything else (the site, its subtree, its
     // ancestors, and the whole suffix) recomputes normally.
@@ -176,6 +209,23 @@ Tensor Module::record_forward(ReplayPlan& plan, const Tensor& input) {
 Tensor Module::forward_from(const ReplayPlan& plan, const Module& site,
                             const Tensor& input, int64_t* served_from_cache,
                             const SampleSlice& slice) {
+  return replay(plan, site, input, served_from_cache, slice, nullptr);
+}
+
+Tensor Module::replay_input(const ReplayPlan& plan, const Module& m,
+                            const Tensor& input) {
+  std::optional<Tensor> received;
+  (void)replay(plan, m, input, nullptr, {}, &received);
+  if (!received) {
+    throw std::logic_error("replay_input: the replay never reached the module");
+  }
+  return *received;
+}
+
+Tensor Module::replay(const ReplayPlan& plan, const Module& site,
+                      const Tensor& input, int64_t* served_from_cache,
+                      const SampleSlice& slice,
+                      std::optional<Tensor>* site_input) {
   if (tl_replay != nullptr) {
     throw std::logic_error(
         "forward_from: a record/replay pass is already active");
@@ -193,16 +243,27 @@ Tensor Module::forward_from(const ReplayPlan& plan, const Module& site,
   if (slice.batch < 1 || slice.index < 0 || slice.index >= slice.batch) {
     throw std::invalid_argument("forward_from: sample slice out of range");
   }
+  if (slice.widen_at != nullptr && !plan.skipped_for(*slice.widen_at, site)) {
+    throw std::invalid_argument(
+        "forward_from: the widen point must be recorded and enter after the "
+        "site completes");
+  }
   ReplayCtx ctx;
   ctx.plan = &plan;
   ctx.fire_enter = it->second.enter;
   ctx.slice = slice;
+  ctx.site = &site;
+  ctx.site_input = site_input;
   Tensor y;
   {
     ReplayScope scope(ctx);
     y = (*this)(slice.batch > 1
                     ? sample_rows(input, slice.index, slice.batch)
                     : input);
+  }
+  if (ctx.slice.widen_at != nullptr) {
+    throw std::logic_error("forward_from: the replay never reached the widen "
+                           "point");
   }
   if (served_from_cache != nullptr) *served_from_cache = ctx.served;
   return y;

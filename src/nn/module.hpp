@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -100,8 +101,23 @@ Tensor sample_rows(const Tensor& t, int64_t index, int64_t batch);
 /// Which sample a sliced Module::forward_from replays. batch = 1 (the
 /// default) replays the recorded batch whole.
 struct SampleSlice {
+  SampleSlice() = default;
+  SampleSlice(int64_t index_, int64_t batch_,
+              const Module* widen_at_ = nullptr, Tensor widen_input_ = {})
+      : index(index_),
+        batch(batch_),
+        widen_at(widen_at_),
+        widen_input(std::move(widen_input_)) {}
+
   int64_t index = 0;
   int64_t batch = 1;
+  /// Widen point: when set, the replay returns to the full batch at this
+  /// module. Its input becomes `widen_input` (the module's recorded-batch
+  /// input, see Module::replay_input) with sample `index`'s rows
+  /// overwritten by the sliced replay's rows, and everything from there on
+  /// computes at full batch.
+  const Module* widen_at = nullptr;
+  Tensor widen_input;
 };
 
 /// A learnable tensor with its gradient accumulator.
@@ -168,15 +184,29 @@ class Module {
   /// to sample_rows(·, slice.index, slice.batch), so the suffix computes
   /// at batch 1 and the result holds that sample's rows only. Exact only
   /// for a model whose forward never mixes samples; campaigns check that
-  /// before they slice (DESIGN.md §10).
+  /// before they slice (DESIGN.md §10). With slice.widen_at set, the
+  /// replay widens back to the full batch when it reaches that module, and
+  /// the result is full-batch logits; `site` must complete before
+  /// widen_at enters.
   ///
-  /// Throws std::invalid_argument when the plan is unusable, `site` was
-  /// never recorded or the slice is out of range, std::logic_error when
-  /// nested in another record/replay.
+  /// Throws std::invalid_argument when the plan is unusable, `site` or
+  /// widen_at was never recorded, widen_at does not follow `site`, the
+  /// slice is out of range, or the widened rows do not fit widen_input;
+  /// std::logic_error when nested in another record/replay or when the
+  /// forward never reached widen_at.
   Tensor forward_from(const ReplayPlan& plan, const Module& site,
                       const Tensor& input,
                       int64_t* served_from_cache = nullptr,
                       const SampleSlice& slice = {});
+
+  /// The input `m` receives in `plan`'s recorded forward — what its
+  /// operator() is given, before any pre-hook runs — as an O(1) share.
+  /// Found by one full-batch forward_from(plan, m, input), which serves
+  /// everything that completed before m entered and recomputes the rest.
+  /// Throws like forward_from, and std::logic_error when that forward
+  /// never reaches m.
+  Tensor replay_input(const ReplayPlan& plan, const Module& m,
+                      const Tensor& input);
 
   /// --- hooks ---------------------------------------------------------------
   HookHandle add_forward_hook(Hook h);
@@ -238,6 +268,12 @@ class Module {
   /// The plain invocation body (pre-hooks, forward, post-hooks) with no
   /// record/replay bookkeeping; operator() dispatches here.
   Tensor run_forward(const Tensor& input);
+
+  /// forward_from's body; `site_input`, when non-null, receives the input
+  /// operator() is given at `site` (replay_input).
+  Tensor replay(const ReplayPlan& plan, const Module& site,
+                const Tensor& input, int64_t* served_from_cache,
+                const SampleSlice& slice, std::optional<Tensor>* site_input);
 
   void collect_named_modules(const std::string& prefix,
                              std::vector<std::pair<std::string, Module*>>& out);

@@ -45,9 +45,9 @@ struct Fixture {
   std::unique_ptr<nn::Module> model;
   data::Batch batch;
 
-  Fixture()
+  explicit Fixture(const std::string& name = "simple_cnn")
       : data(small_cfg()),
-        model(models::make_model("simple_cnn", data.config(), 3)),
+        model(models::make_model(name, data.config(), 3)),
         batch(data::take(data.test(), 0, 8)) {
     model->eval();
   }
@@ -604,39 +604,58 @@ TEST(CampaignSessionTest, BernoulliModelsGiveOneDigestAcrossThreadsAndCache) {
 
 // --- sample-sliced replay (DESIGN.md §10) ----------------------------------
 
-/// session_cfgs() plus burst and thinned row faults under each format
-/// family that quantises element by element, and an int8 value flip (its
-/// scale register couples the samples), each with whether its trials
-/// replay one sample.
-std::vector<std::pair<CampaignConfig, bool>> slice_cases() {
-  std::vector<std::pair<CampaignConfig, bool>> cases;
+/// session_cfgs() plus flip, burst and thinned row faults under each
+/// format family that quantises element by element and under
+/// bfp_e5m5_b16, and the campaigns whose first site already couples the
+/// samples (int8 value and metadata, afp value, whole-tensor bfp), each
+/// with how many of simple_cnn's four sites replay one sample: the sites
+/// that complete before the widen point. Under bfp_e5m5_b16 that is the
+/// 10-class head, the one site whose per-sample output is not a whole
+/// number of 16-element blocks.
+std::vector<std::pair<CampaignConfig, int64_t>> slice_cases() {
+  std::vector<std::pair<CampaignConfig, int64_t>> cases;
   for (const CampaignConfig& cfg : session_cfgs()) {
-    // Only the fp_e5m10 flip config faults one sample per trial.
-    cases.emplace_back(cfg, cfg.format_spec == "fp_e5m10" &&
-                                cfg.model == ErrorModel::kBitFlip &&
-                                cfg.sites_per_trial == 1);
+    // Weight, multi-site, ber and channel trials stay at full batch.
+    const bool single = cfg.site != InjectionSite::kWeightValue &&
+                        cfg.model == ErrorModel::kBitFlip &&
+                        cfg.sites_per_trial == 1;
+    cases.emplace_back(cfg, !single                              ? 0
+                            : cfg.format_spec == "bfp_e5m5_b16" ? 3
+                                                                 : 4);
   }
-  for (const char* spec : {"fp_e5m10", "fxp_1_3_12", "posit_8_1"}) {
-    CampaignConfig burst = campaign_cfg();
-    burst.format_spec = spec;
+  for (const char* spec :
+       {"fp_e5m10", "fxp_1_3_12", "posit_8_1", "bfp_e5m5_b16"}) {
+    const int64_t sites = std::string(spec) == "bfp_e5m5_b16" ? 3 : 4;
+    CampaignConfig flip = campaign_cfg();
+    flip.format_spec = spec;
+    // session_cfgs() already holds the fp_e5m10 flip.
+    if (flip.format_spec != "fp_e5m10") cases.emplace_back(flip, sites);
+    CampaignConfig burst = flip;
     burst.model = ErrorModel::kBurst;
-    cases.emplace_back(burst, true);
-    CampaignConfig row = campaign_cfg();
-    row.format_spec = spec;
+    cases.emplace_back(burst, sites);
+    CampaignConfig row = flip;
     row.model = ErrorModel::kRowBurst;
     row.ber = 0.5;
-    cases.emplace_back(row, true);
+    cases.emplace_back(row, sites);
   }
   CampaignConfig int8 = campaign_cfg();
   int8.format_spec = "int8";
-  cases.emplace_back(int8, false);
+  cases.emplace_back(int8, 0);
+  int8.site = InjectionSite::kMetadata;
+  cases.emplace_back(int8, 0);
+  CampaignConfig afp = campaign_cfg();
+  afp.format_spec = "afp_e4m3";
+  cases.emplace_back(afp, 0);
+  CampaignConfig btensor = campaign_cfg();
+  btensor.format_spec = "bfp_e5m5_btensor";
+  cases.emplace_back(btensor, 0);
   return cases;
 }
 
 TEST(SlicedReplayTest, CacheOnMatchesCacheOffAndSlicesSingleSampleFaults) {
   ThreadGuard guard;
   obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
-  for (const auto& [base, sliced] : slice_cases()) {
+  for (const auto& [base, sliced_sites] : slice_cases()) {
     for (int threads : {1, 4}) {
       parallel::set_num_threads(threads);
       CampaignConfig cfg = base;
@@ -651,11 +670,10 @@ TEST(SlicedReplayTest, CacheOnMatchesCacheOffAndSlicesSingleSampleFaults) {
       EXPECT_EQ(campaign_digest(run_campaign(*on.model, on.batch, cfg)), want)
           << label(cfg);
       const uint64_t trials = obs::counter_value(obs::Counter::kTrials);
-      ASSERT_GT(trials, 0u) << label(cfg);
-      // simple_cnn's sites all keep one sample per leading row, so a
-      // sliceable campaign slices every trial.
+      ASSERT_EQ(trials, 4 * static_cast<uint64_t>(cfg.injections_per_layer))
+          << label(cfg);
       EXPECT_EQ(obs::counter_value(obs::Counter::kSlicedReplays),
-                sliced ? trials : 0u)
+                static_cast<uint64_t>(sliced_sites * cfg.injections_per_layer))
           << label(cfg);
     }
   }
@@ -663,8 +681,9 @@ TEST(SlicedReplayTest, CacheOnMatchesCacheOffAndSlicesSingleSampleFaults) {
 }
 
 /// The "trial" rows of one campaign's report stream, sorted.
-std::vector<std::string> trial_rows(const CampaignConfig& cfg) {
-  Fixture f;
+std::vector<std::string> trial_rows(const CampaignConfig& cfg,
+                                    const std::string& model = "simple_cnn") {
+  Fixture f(model);
   std::ostringstream os;
   {
     obs::RunLog log(os);
@@ -684,18 +703,61 @@ std::vector<std::string> trial_rows(const CampaignConfig& cfg) {
 }
 
 TEST(SlicedReplayTest, ReportRowsMatchTheFullBatchReplay) {
-  // Element, bits, values and outcome of every trial row — the element as
-  // the full-batch storage index — are what a full forward reports.
-  for (const ErrorModel model : {ErrorModel::kBitFlip, ErrorModel::kRowBurst}) {
-    CampaignConfig cfg = campaign_cfg();
-    cfg.model = model;
-    cfg.ber = model == ErrorModel::kRowBurst ? 0.5 : 0.0;
+  // Element, register, bits, affected count, values and outcome of every
+  // trial row — the element and register as full-batch indices — are what
+  // a full forward reports.
+  std::vector<CampaignConfig> cfgs(3, campaign_cfg());
+  cfgs[1].model = ErrorModel::kRowBurst;
+  cfgs[1].ber = 0.5;
+  cfgs[2].format_spec = "bfp_e5m5_b16";
+  cfgs[2].site = InjectionSite::kMetadata;
+  for (CampaignConfig cfg : cfgs) {
     const std::vector<std::string> on = trial_rows(cfg);
     cfg.use_prefix_cache = false;
     const std::vector<std::string> off = trial_rows(cfg);
     ASSERT_FALSE(on.empty());
-    EXPECT_EQ(on, off) << to_string(model);
+    EXPECT_EQ(on, off) << label(cfg);
+    if (cfg.site == InjectionSite::kMetadata) {
+      EXPECT_NE(on.front().find("\"metadata_index\""), std::string::npos);
+    }
   }
+}
+
+TEST(SlicedReplayTest, WidensAtTheBlockHoldingTheCouplingSite) {
+  // tiny_resnet's stages output 2048, 1024 and 512 elements per sample,
+  // so under bfp_e5m5_b1024 the first site whose registers straddle two
+  // samples (W) is block4.conv1. Its block adds a projected skip path to
+  // the main path, so widening at W itself would meet a batch-1 tensor
+  // with a full-batch one; the replay widens at block4 instead, and the
+  // ten sites before it (stem, blocks 0-3) slice.
+  ThreadGuard guard;
+  obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
+  CampaignConfig cfg = campaign_cfg();
+  cfg.format_spec = "bfp_e5m5_b1024";
+  cfg.site = InjectionSite::kMetadata;
+  cfg.injections_per_layer = 3;
+  cfg.make_replica = [] {
+    return models::make_model("tiny_resnet", small_cfg(), 0);
+  };
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    cfg.use_prefix_cache = false;
+    Fixture off("tiny_resnet");
+    const uint64_t want =
+        campaign_digest(run_campaign(*off.model, off.batch, cfg));
+    cfg.use_prefix_cache = true;
+    Fixture on("tiny_resnet");
+    obs::reset_all();
+    EXPECT_EQ(campaign_digest(run_campaign(*on.model, on.batch, cfg)), want)
+        << label(cfg);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kTrials), 16u * 3u);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSlicedReplays), 10u * 3u)
+        << label(cfg);
+  }
+  obs::reset_all();
+  const std::vector<std::string> on = trial_rows(cfg, "tiny_resnet");
+  cfg.use_prefix_cache = false;
+  EXPECT_EQ(on, trial_rows(cfg, "tiny_resnet"));
 }
 
 /// The integer after `"key":` in a JSON row.

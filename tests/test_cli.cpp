@@ -85,6 +85,25 @@ TEST(Cli, CampaignValidatesSiteAndErrorModel) {
   EXPECT_EQ(run({"campaign", "--format", "bogus"}).code, 2);
 }
 
+TEST(Cli, MetadataCampaignOnValueOnlyFormatIsRefused) {
+  // fp, fxp and posit carry no metadata register, so a metadata campaign
+  // would select no layer: refused as misuse before any model is built,
+  // offline and by submit alike.
+  for (const char* spec : {"fp_e5m10", "fxp_1_3_12", "posit_8_1"}) {
+    for (const std::vector<std::string>& cmd :
+         {std::vector<std::string>{"campaign"},
+          std::vector<std::string>{"submit", "--port", "19"}}) {
+      std::vector<std::string> args = cmd;
+      args.insert(args.end(), {"--format", spec, "--site", "metadata"});
+      const auto r = run(args);
+      EXPECT_EQ(r.code, 2) << cmd[0] << " " << spec;
+      EXPECT_NE(r.err.find(std::string("'") + spec + "'"), std::string::npos)
+          << r.err;
+      EXPECT_NE(r.err.find("int, bfp or afp"), std::string::npos) << r.err;
+    }
+  }
+}
+
 TEST(Cli, DseRejectsUnknownFamily) {
   const auto r = run({"dse", "--family", "unum", "--model", "mlp",
                       "--epochs", "1", "--cache", "/tmp/ge_cli_cache",

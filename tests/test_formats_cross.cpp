@@ -122,6 +122,27 @@ TEST_P(EveryFormat, MetadataRegistersReadableWhenPresent) {
   }
 }
 
+TEST_P(EveryFormat, RegisterSpanCoversEachRegistersElements) {
+  // Value-only formats have no register coupling elements (span 1); a
+  // metadata format's span is how many consecutive elements one register
+  // holds, so ceil(numel / span) registers cover a converted tensor.
+  constexpr int64_t kNumel = 80;
+  const int64_t span = fmt_->register_span(kNumel);
+  if (!fmt_->has_metadata()) {
+    EXPECT_EQ(span, 1);
+    return;
+  }
+  const std::string spec = fmt_->spec();
+  const bool per_block = spec.rfind("bfp_", 0) == 0 &&
+                         spec.find("btensor") == std::string::npos;
+  EXPECT_EQ(span, per_block ? 16 : kNumel) << spec;
+  Rng rng(23);
+  (void)fmt_->real_to_format_tensor(rng.normal_tensor({kNumel}));
+  EXPECT_EQ(fmt_->metadata_fields().front().count,
+            (kNumel + span - 1) / span)
+      << spec;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Registry, EveryFormat,
     ::testing::Values("fp_e8m23", "fp_e5m10", "fp_e8m7", "fp_e8m10",

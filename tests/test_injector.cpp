@@ -8,6 +8,7 @@
 #include "core/injector.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic.hpp"
+#include "formats/format_registry.hpp"
 #include "models/model_factory.hpp"
 #include "nn/activation.hpp"
 #include "nn/sequential.hpp"
@@ -528,10 +529,11 @@ TEST(InjectionRegion, EachRankMapsToItsLayerLayout) {
       {kCh, {}, 1, 0, {0}},
       {kRow, {}, 1, 0, {0}},
   };
+  const auto fp = fmt::make_format("fp_e5m10");
   for (const Case& c : cases) {
     const Tensor y(c.shape);
     const InjectionSpec spec = region_spec(c.model);
-    EXPECT_EQ(target_count(spec, y), c.count) << to_string(c.model);
+    EXPECT_EQ(target_count(spec, y, *fp), c.count) << to_string(c.model);
     const Region region = region_of(spec, y, c.r);
     std::vector<int64_t> got;
     for (int64_t i = 0; i < region.size; ++i) got.push_back(region.at(i));
@@ -542,17 +544,44 @@ TEST(InjectionRegion, EachRankMapsToItsLayerLayout) {
 
 TEST(InjectionRegion, OutOfRangeIndexThrowsFromDrawTarget) {
   const Tensor t({2, 3, 4, 5});
+  const auto fp = fmt::make_format("fp_e5m10");
   Rng rng(1);
   InjectionSpec channel = region_spec(ErrorModel::kChannel);
   channel.element = 2;
-  EXPECT_EQ(draw_target(channel, t, rng), 2);
+  EXPECT_EQ(draw_target(channel, t, *fp, rng), 2);
   channel.element = 3;
-  EXPECT_THROW(draw_target(channel, t, rng), std::invalid_argument);
+  EXPECT_THROW(draw_target(channel, t, *fp, rng), std::invalid_argument);
   InjectionSpec row = region_spec(ErrorModel::kRowBurst);
   row.element = 23;
-  EXPECT_EQ(draw_target(row, t, rng), 23);
+  EXPECT_EQ(draw_target(row, t, *fp, rng), 23);
   row.element = 24;
-  EXPECT_THROW(draw_target(row, t, rng), std::invalid_argument);
+  EXPECT_THROW(draw_target(row, t, *fp, rng), std::invalid_argument);
+}
+
+TEST(InjectionRegion, MetadataTargetsAreRegisters) {
+  // At the metadata site the target is a register: one per block of 16
+  // elements under bfp_e5m5_b16 (the last block partial), one per tensor
+  // under int8. An explicit metadata_index is range-checked like an
+  // element.
+  const Tensor t({2, 3, 3, 3});
+  Rng rng(2);
+  InjectionSpec spec;
+  spec.site = InjectionSite::kMetadata;
+  const auto bfp = fmt::make_format("bfp_e5m5_b16");
+  const auto int8 = fmt::make_format("int8");
+  EXPECT_EQ(target_count(spec, t, *bfp), 4);
+  EXPECT_EQ(target_count(spec, t, *int8), 1);
+  spec.metadata_index = 3;
+  spec.element = 40;  // ignored at the metadata site
+  EXPECT_EQ(draw_target(spec, t, *bfp, rng), 3);
+  spec.metadata_index = 4;
+  EXPECT_THROW(draw_target(spec, t, *bfp, rng), std::invalid_argument);
+  spec.metadata_index = -1;
+  for (int i = 0; i < 8; ++i) {
+    const int64_t r = draw_target(spec, t, *bfp, rng);
+    EXPECT_GE(r, 0);
+    EXPECT_LT(r, 4);
+  }
 }
 
 // --- the Bernoulli-hit sampler (ber_uniform and region thinning) ----------

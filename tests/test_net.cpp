@@ -508,6 +508,23 @@ TEST(PrepareCampaign, NanBerIsRefused) {
   }
 }
 
+TEST(PrepareCampaign, MetadataSiteOnValueOnlyFormatIsRefused) {
+  // A metadata campaign under fp, fxp or posit would select no layer and
+  // run zero trials; the server refuses it before any model is loaded.
+  for (const char* format : {"fp_e4m3", "fxp_1_3_12", "posit_8_1"}) {
+    CampaignSpecMsg spec = e2e_spec();
+    spec.format_spec = format;
+    spec.site = static_cast<uint8_t>(core::InjectionSite::kMetadata);
+    try {
+      (void)prepare_campaign(spec, kCacheDir);
+      ADD_FAILURE() << format << " metadata campaign was accepted";
+    } catch (const NetError& e) {
+      EXPECT_NE(std::string(e.what()).find(format), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 uint64_t offline_digest(const CampaignSpecMsg& spec) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;
@@ -915,6 +932,29 @@ TEST(ServeLoopback, InvalidSpecIsRefusedWithServerError) {
   std::ostringstream out, err;
   EXPECT_EQ(run_submit(sub, nullptr, out, err), 1);
   EXPECT_NE(err.str().find("server error"), std::string::npos) << err.str();
+  serve.join();
+}
+
+TEST(ServeLoopback, MetadataCampaignOnValueOnlyFormatIsRefused) {
+  // Served, the same spec gets the executor's error and submit exits 1,
+  // where it used to fail inside the merge of zero trials.
+  ServeOptions sopts;
+  sopts.cache_dir = kCacheDir;
+  sopts.max_campaigns = 1;
+  Server server(sopts, nullptr);
+  ASSERT_TRUE(server.ok()) << server.last_error();
+  std::thread serve([&] { server.run(); });
+
+  CampaignSpecMsg bad = e2e_spec();
+  bad.site = static_cast<uint8_t>(core::InjectionSite::kMetadata);
+  SubmitOptions sub;
+  sub.port = server.port();
+  sub.spec = bad;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_submit(sub, nullptr, out, err), 1);
+  EXPECT_NE(err.str().find("server error"), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("no metadata register"), std::string::npos)
+      << err.str();
   serve.join();
 }
 

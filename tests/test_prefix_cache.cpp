@@ -269,6 +269,105 @@ TEST(SuffixReplay, SlicedReplayGivesItsSampleRowsOfTheBatch) {
   EXPECT_THROW((void)nn::sample_rows(golden, 0, 3), std::invalid_argument);
 }
 
+TEST(SuffixReplay, WidenedReplayReturnsTheFullBatchOfTheUnslicedReplay) {
+  // A fault in sample n, replayed at batch 1 and widened back to the batch
+  // at the head (the one bfp_e5m5_b16 site whose blocks straddle samples),
+  // gives the full-batch logits of the unsliced replay bit for bit.
+  Fixture f("tiny_resnet");
+  EmulatorConfig ecfg;
+  ecfg.format_spec = "bfp_e5m5_b16";
+  Emulator emu(*f.model, ecfg);
+  Injector inj(emu, 5);
+  nn::ReplayPlan plan;
+  const Tensor golden = f.model->record_forward(plan, f.batch.images);
+  const int64_t batch = f.batch.images.size(0);
+  const nn::Module& head = *f.model->find_module("head");
+  const Tensor head_input = f.model->replay_input(plan, head, f.batch.images);
+  EXPECT_TRUE(bitwise_equal(head_input,
+                            *plan.recorded_output(*f.model->find_module(
+                                "pool"))));
+  int changed = 0;
+
+  for (const InjectionSite where :
+       {InjectionSite::kActivationValue, InjectionSite::kMetadata}) {
+    for (size_t li : {size_t{0}, emu.sites().size() / 2}) {
+      const LayerSite& site = emu.sites()[li];
+      const Tensor& y = *plan.recorded_output(*site.module);
+      InjectionSpec spec;
+      spec.layer_path = site.path;
+      spec.site = where;
+      spec.bit = 3;
+      const int64_t per_sample = target_count(spec, y, *site.act_format) /
+                                 batch;
+      for (const int64_t n : {int64_t{0}, batch - 1}) {
+        const int64_t target = n * per_sample + per_sample / 2;
+        (where == InjectionSite::kMetadata ? spec.metadata_index
+                                           : spec.element) = target;
+        inj.arm(spec);
+        const Tensor full =
+            f.model->forward_from(plan, *site.module, f.batch.images);
+        inj.disarm();
+
+        (where == InjectionSite::kMetadata ? spec.metadata_index
+                                           : spec.element) =
+            target % per_sample;
+        inj.arm(spec);
+        int64_t served = -1;
+        const Tensor widened = f.model->forward_from(
+            plan, *site.module, f.batch.images, &served,
+            {n, batch, &head, head_input});
+        inj.disarm();
+        EXPECT_TRUE(bitwise_equal(widened, full))
+            << to_string(where) << " at " << site.path << " sample " << n;
+        EXPECT_GE(served, 0);
+        changed += !bitwise_equal(widened, golden);
+      }
+    }
+  }
+  EXPECT_GT(changed, 0);  // some of these faults reach the logits
+}
+
+TEST(SuffixReplay, WidenPointMustFollowTheSiteAndFitItsGlue) {
+  Fixture f("tiny_resnet");
+  EmulatorConfig ecfg;
+  ecfg.format_spec = "fp_e5m10";
+  Emulator emu(*f.model, ecfg);
+  nn::ReplayPlan plan;
+  const Tensor golden = f.model->record_forward(plan, f.batch.images);
+  const int64_t batch = f.batch.images.size(0);
+  const nn::Module& stem = *f.model->find_module("stem_conv");
+  const nn::Module& head = *f.model->find_module("head");
+  const Tensor head_input = f.model->replay_input(plan, head, f.batch.images);
+  // Unarmed, a widened replay of any sample is the recorded batch.
+  EXPECT_TRUE(bitwise_equal(
+      f.model->forward_from(plan, stem, f.batch.images, nullptr,
+                            {1, batch, &head, head_input}),
+      golden));
+  // The widen point must enter after the site completes.
+  EXPECT_THROW((void)f.model->forward_from(plan, head, f.batch.images,
+                                           nullptr,
+                                           {1, batch, &stem, head_input}),
+               std::invalid_argument);
+  // Widening at a block's first conv leaves the block's skip path at
+  // batch 1, and its residual add refuses the full-batch main path.
+  const nn::Module& conv = *f.model->find_module("block4.conv1");
+  const Tensor conv_input =
+      f.model->replay_input(plan, conv, f.batch.images);
+  EXPECT_TRUE(bitwise_equal(
+      conv_input, *plan.recorded_output(*f.model->find_module("block3"))));
+  EXPECT_THROW((void)f.model->forward_from(plan, stem, f.batch.images,
+                                           nullptr,
+                                           {1, batch, &conv, conv_input}),
+               std::invalid_argument);
+  const nn::Module& block = *f.model->find_module("block4");
+  EXPECT_TRUE(bitwise_equal(
+      f.model->forward_from(
+          plan, stem, f.batch.images, nullptr,
+          {1, batch, &block,
+           f.model->replay_input(plan, block, f.batch.images)}),
+      golden));
+}
+
 // --- campaign-level integration --------------------------------------------
 
 TEST(PrefixCacheCampaign, CountersRecordReplays) {
