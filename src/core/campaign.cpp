@@ -80,10 +80,6 @@ void copy_state(nn::Module& src, nn::Module& dst) {
   }
 }
 
-bool shard_owns(int64_t ti, int shards, int shard_index) {
-  return shards <= 1 || ti % shards == shard_index;
-}
-
 /// Whether a campaign over `cfg` injects at `site`: the layer filter, and
 /// no metadata campaign on a value-only format.
 bool campaigned(const LayerSite& site, const CampaignConfig& cfg) {
@@ -384,6 +380,10 @@ CampaignSession::CampaignSession(nn::Module& model, const data::Batch& batch,
                                  const CampaignConfig& cfg)
     : state_(std::make_unique<State>()) {
   obs::AttrScope campaign_attr(cfg.format_spec, "");
+  if (cfg.injections_per_layer < 1) {
+    throw std::invalid_argument(
+        "CampaignSession: injections_per_layer must be >= 1");
+  }
   if (cfg.sites_per_trial < 1) {
     throw std::invalid_argument(
         "CampaignSession: sites_per_trial must be >= 1");
@@ -552,7 +552,6 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
 
   if (opts.resume_from != nullptr) apply_resume(prog, *opts.resume_from);
 
-  // Lease filter over the global trial index (campaign position order).
   // A lease ending past the campaign means the lessor sized the trial
   // space against a different model or layer set — reject loudly rather
   // than silently running a truncated lease.
@@ -565,11 +564,24 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
         std::to_string(static_cast<int64_t>(prog.layers.size()) * nT) +
         " trials");
   }
-  const auto lease_owns = [&](int64_t layer_pos, int64_t ti) {
-    if (!leased) return true;
-    const int64_t g = layer_pos * nT + ti;
-    return g >= opts.lease_lo && g < opts.lease_hi;
-  };
+  // The one trial selection: this run executes trial ti of the layer at
+  // campaign position lpos when its shard owns ti, its lease holds the
+  // global index lpos * nT + ti, and no resumed progress has done it.
+  // One scan builds every layer's pending list.
+  std::vector<std::vector<int64_t>> selected(prog.layers.size());
+  int64_t hb_total = 0;
+  for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
+    const std::vector<uint8_t>& done = prog.layers[lpos].done;
+    for (int64_t ti = 0; ti < nT; ++ti) {
+      const int64_t g = static_cast<int64_t>(lpos) * nT + ti;
+      if ((opts.shards <= 1 || ti % opts.shards == opts.shard_index) &&
+          (!leased || (g >= opts.lease_lo && g < opts.lease_hi)) &&
+          done[static_cast<size_t>(ti)] == 0) {
+        selected[lpos].push_back(ti);
+      }
+    }
+    hb_total += static_cast<int64_t>(selected[lpos].size());
+  }
 
   // Analytics are capture-gated: with no report stream and metrics off the
   // trial loop does no clock reads, no meta copies, and no histogram
@@ -579,17 +591,6 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
   const bool capture = opts.run_log != nullptr || obs::metrics_enabled();
   const bool heartbeat_on =
       opts.run_log != nullptr || obs::metrics_enabled() || obs::log_level() >= 1;
-  int64_t hb_total = 0;
-  for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
-    const LayerProgress& lp = prog.layers[lpos];
-    for (int64_t ti = 0; ti < nT; ++ti) {
-      if (shard_owns(ti, opts.shards, opts.shard_index) &&
-          lease_owns(static_cast<int64_t>(lpos), ti) &&
-          lp.done[static_cast<size_t>(ti)] == 0) {
-        ++hb_total;
-      }
-    }
-  }
   const int64_t run_t0 = heartbeat_on ? obs::now_ns() : 0;
   obs::Histogram* h_latency = nullptr;
   obs::Histogram* h_delta = nullptr;
@@ -612,17 +613,9 @@ CampaignProgress CampaignSession::run(const CampaignRunOptions& opts) {
   bool aborted = false;
 
   for (LayerProgress& lp : prog.layers) {
-    const int64_t layer_pos = &lp - prog.layers.data();
-    LayerSite& site = emu.sites()[static_cast<size_t>(lp.site_index)];
-    std::vector<int64_t> pending;
-    pending.reserve(static_cast<size_t>(nT));
-    for (int64_t ti = 0; ti < nT; ++ti) {
-      if (shard_owns(ti, opts.shards, opts.shard_index) &&
-          lease_owns(layer_pos, ti) && !lp.done[ti]) {
-        pending.push_back(ti);
-      }
-    }
+    const std::vector<int64_t>& pending = selected[&lp - prog.layers.data()];
     if (pending.empty()) continue;
+    LayerSite& site = emu.sites()[static_cast<size_t>(lp.site_index)];
 
     // Companion pool for multi-point trials: instrumented sites strictly
     // after the campaigned one (disjoint suffix segments — a companion
@@ -941,20 +934,6 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   return CampaignSession(model, batch, cfg).run(opts);
 }
 
-int64_t owned_trials_remaining(const CampaignProgress& progress) {
-  int64_t n = 0;
-  for (const LayerProgress& l : progress.layers) {
-    for (size_t ti = 0; ti < l.done.size(); ++ti) {
-      if (shard_owns(static_cast<int64_t>(ti), progress.shards,
-                     progress.shard_index) &&
-          !l.done[ti]) {
-        ++n;
-      }
-    }
-  }
-  return n;
-}
-
 int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg) {
   model.eval();
   EmulatorConfig ecfg;
@@ -1024,9 +1003,6 @@ CampaignProgress merge_campaign_progress(
     throw std::invalid_argument("merge_campaign_progress: no inputs");
   }
   CampaignProgress merged = parts[0];
-  std::vector<int> seen;
-  seen.reserve(parts.size());
-  seen.push_back(parts[0].shard_index);
   for (size_t i = 1; i < parts.size(); ++i) {
     const CampaignProgress& p = parts[i];
     const auto fail = [i](const std::string& what) {
@@ -1058,11 +1034,6 @@ CampaignProgress merge_campaign_progress(
       fail("golden reference — shards ran different models or batches");
     }
     if (p.layers.size() != merged.layers.size()) fail("layer set");
-    if (std::find(seen.begin(), seen.end(), p.shard_index) != seen.end()) {
-      throw io::IoError("merge: duplicate shard index " +
-                        std::to_string(p.shard_index));
-    }
-    seen.push_back(p.shard_index);
     for (size_t j = 0; j < merged.layers.size(); ++j) {
       const LayerProgress& pl = p.layers[j];
       LayerProgress& ml = merged.layers[j];

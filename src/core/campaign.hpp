@@ -166,11 +166,11 @@ struct CampaignRunOptions {
   /// Work-stealing lease (the service daemon's partition): execute only
   /// trials whose global index — campaign position order, i.e.
   /// layer_position_in_campaign * injections_per_layer + trial_index —
-  /// falls in [lease_lo, lease_hi). lease_hi < 0 disables leasing. Like
-  /// shards, a lease just selects a subset of the pure (seed, site, trial)
-  /// function space, so lease parts merge bitwise-identically via
-  /// merge_campaign_progress (relabel each part with a distinct
-  /// shard_index first — merge requires parts to be distinguishable).
+  /// falls in [lease_lo, lease_hi). lease_hi < 0 disables leasing. Shard,
+  /// lease and resume form one selection rule over the pure (seed, site,
+  /// trial) function space, so parts from disjoint leases merge
+  /// bitwise-identically via merge_campaign_progress, as they are: their
+  /// done sets are disjoint.
   int64_t lease_lo = 0;
   int64_t lease_hi = -1;
   /// Stream a schema-v2 "trial" record per executed trial (plus periodic
@@ -194,7 +194,8 @@ struct CampaignRunOptions {
 ///
 /// `model` stays instrumented (and the caller must not use it) until the
 /// session is destroyed, which restores it. The session keeps its own O(1)
-/// share of `batch` and a copy of `cfg`.
+/// share of `batch` and a copy of `cfg`. Throws std::invalid_argument when
+/// cfg.injections_per_layer or cfg.sites_per_trial is below 1.
 class CampaignSession {
  public:
   CampaignSession(nn::Module& model, const data::Batch& batch,
@@ -227,9 +228,6 @@ CampaignProgress run_campaign_trials(nn::Module& model,
                                      const CampaignConfig& cfg,
                                      const CampaignRunOptions& opts);
 
-/// Trials owned by (progress.shards, progress.shard_index) not yet done.
-int64_t owned_trials_remaining(const CampaignProgress& progress);
-
 /// Number of layers a campaign over (model, cfg) would run: instruments
 /// the model (restored on return, like run_campaign) and applies the same
 /// site-enumeration filters, without a golden run. A CampaignSession
@@ -238,8 +236,9 @@ int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg);
 
 /// Why a `site` campaign under `format_spec` (a valid registry spec)
 /// would select no layer, or "" when it selects some: the metadata site
-/// needs a format with metadata registers. The CLI and the campaign
-/// server refuse such a spec instead of running zero trials.
+/// needs a format with metadata registers. net::campaign_spec_reason,
+/// the one spec check of the CLI and the server, refuses such a spec
+/// instead of running zero trials.
 std::string no_layer_reason(const std::string& format_spec,
                             InjectionSite site);
 
@@ -249,10 +248,12 @@ std::string no_layer_reason(const std::string& format_spec,
 /// std::invalid_argument when progress is incomplete.
 CampaignResult finalize_campaign(const CampaignProgress& progress);
 
-/// Fold shard partial results into one progress. All parts must carry the
-/// same config echo and layer structure, distinct shard indices, and
-/// disjoint done sets (io::IoError otherwise). The merged progress is
-/// re-labelled shards=1 so it can be finalized or even resumed.
+/// Fold partial results (shards, lease parts) into one progress. All parts
+/// must carry the same config echo, golden digest, shard count and layer
+/// structure, and disjoint done sets (io::IoError otherwise); these make
+/// the merge exact, so a part's shard_index is not consulted. The merged
+/// progress is re-labelled shards=1 so it can be finalized or even
+/// resumed.
 CampaignProgress merge_campaign_progress(
     const std::vector<CampaignProgress>& parts);
 

@@ -1,11 +1,13 @@
 #include "core/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +27,7 @@
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "net/session.hpp"
 #include "nn/loss.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/perf_counters.hpp"
@@ -87,6 +90,19 @@ int64_t get_int(const ParsedArgs& p, const std::string& key,
   return value;
 }
 
+/// As get_int for a 32-bit field: a value that does not fit is refused,
+/// not wrapped (--burst-len 4294967297 would otherwise run as 1).
+int32_t get_int32(const ParsedArgs& p, const std::string& key,
+                  int32_t fallback) {
+  const int64_t value = get_int(p, key, fallback);
+  if (value < std::numeric_limits<int32_t>::min() ||
+      value > std::numeric_limits<int32_t>::max()) {
+    throw UsageError("invalid value '" + p.options.at(key) + "' for --" +
+                     key + " (expected a 32-bit integer)");
+  }
+  return static_cast<int32_t>(value);
+}
+
 /// --samples for the commands that slice the synthetic test split: a value
 /// the split cannot provide is a usage error, caught before any model is
 /// prepared. `all_allowed` also accepts -1, the whole split.
@@ -146,6 +162,39 @@ const std::vector<OptionDesc>& common_options() {
   return kCommon;
 }
 
+/// The campaign spec flags, read by parse_campaign_spec. `campaign` and
+/// `submit` both take this list.
+const std::vector<OptionDesc>& campaign_spec_options() {
+  static const std::vector<OptionDesc> kSpec = {
+      {"model", "M", "model name (mlp|simple_cnn|tiny_resnet|tiny_deit)"},
+      {"epochs", "N", "training epochs when the weight cache is cold"},
+      {"samples", "N", "evaluation samples"},
+      {"format", "F", "format spec (see 'formats')"},
+      {"site", "S", "injection site: value|weight|metadata"},
+      {"error-model", "E", "flip|sa0|sa1|ber|burst"},
+      {"inject-scope", "S", "layer (classic single-element) | channel | "
+                            "row: hit a whole activation channel/row"},
+      {"ber", "X", "bit error rate in (0,1]: required for --error-model "
+                   "ber, optional thinning for channel/row scopes"},
+      {"burst-len", "N", "contiguous bits flipped by --error-model burst "
+                         "(default 2)"},
+      {"injections", "N", "injections per layer"},
+      {"seed", "S", "campaign RNG seed"},
+      {"prefix-cache", "on|off", "golden-prefix suffix-replay cache "
+                                 "(default on; bitwise-identical results)"},
+      {"sites-per-trial", "K", "faults per trial: 1 classic, >1 adds "
+                               "companion faults at later layers"},
+  };
+  return kSpec;
+}
+
+/// `head` followed by `tail`, for commands that share an option list.
+std::vector<OptionDesc> concat(std::vector<OptionDesc> head,
+                               const std::vector<OptionDesc>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
 const std::vector<OptionDesc>& global_options() {
   static const std::vector<OptionDesc> kGlobal = {
       {"trace", "FILE", "write a Chrome trace_event JSON timeline"},
@@ -166,28 +215,19 @@ const std::vector<CommandDesc>& command_table() {
        true},
       {"campaign",
        "per-layer fault-injection campaign",
-       {{"format", "F", "format spec (see 'formats')"},
-        {"site", "S", "injection site: value|weight|metadata"},
-        {"error-model", "E", "flip|sa0|sa1|ber|burst"},
-        {"inject-scope", "S", "layer (classic single-element) | channel | "
-                              "row: hit a whole activation channel/row"},
-        {"ber", "X", "bit error rate in (0,1]: required for --error-model "
-                     "ber, optional thinning for channel/row scopes"},
-        {"burst-len", "N", "contiguous bits flipped by --error-model burst "
-                           "(default 2)"},
-        {"injections", "N", "injections per layer"},
-        {"seed", "S", "campaign RNG seed"},
-        {"checkpoint", "FILE", "progress .gec file (written atomically)"},
-        {"checkpoint-every", "N", "checkpoint after every N trials (N >= 1)"},
-        {"resume", "FILE", "continue from a progress .gec file"},
-        {"shards", "N", "partition the trial space into N shards"},
-        {"shard-index", "I", "which shard this process runs (0-based)"},
-        {"abort-after", "N", "stop after N trials (fault-tolerance drill)"},
-        {"prefix-cache", "on|off", "golden-prefix suffix-replay cache "
-                                   "(default on; bitwise-identical results)"},
-        {"sites-per-trial", "K", "faults per trial: 1 classic, >1 adds "
-                                 "companion faults at later layers"}},
-       true},
+       concat(campaign_spec_options(),
+              {{"cache", "DIR", "trained-weight cache directory"},
+               {"checkpoint", "FILE", "progress .gec file (written "
+                                      "atomically)"},
+               {"checkpoint-every", "N", "checkpoint after every N trials "
+                                         "(N >= 1)"},
+               {"resume", "FILE", "continue from a progress .gec file"},
+               {"shards", "N", "partition the trial space into N shards"},
+               {"shard-index", "I", "which shard this process runs "
+                                    "(0-based)"},
+               {"abort-after", "N", "stop after N trials (fault-tolerance "
+                                    "drill)"}}),
+       false},
       {"train",
        "train (or load) a model; save/restore .gec checkpoints",
        {{"save", "FILE", "write the weights to a .gec model checkpoint"},
@@ -231,22 +271,10 @@ const std::vector<CommandDesc>& command_table() {
                                     "median throughput (0 = off; default 0.5)"}},
        false},
       {"submit",
-       "send a campaign to a serve daemon; stream rows, print the digest",
-       {{"host", "H", "server address (default 127.0.0.1)"},
-        {"port", "N", "server port (required)"},
-        {"model", "M", "model name (mlp|simple_cnn|tiny_resnet|tiny_deit)"},
-        {"epochs", "N", "training epochs the server uses on a cold cache"},
-        {"samples", "N", "evaluation samples"},
-        {"format", "F", "format spec (see 'formats')"},
-        {"site", "S", "injection site: value|weight|metadata"},
-        {"error-model", "E", "flip|sa0|sa1|ber|burst"},
-        {"inject-scope", "S", "layer | channel | row"},
-        {"ber", "X", "bit error rate (as for 'campaign')"},
-        {"burst-len", "N", "contiguous bits for --error-model burst"},
-        {"injections", "N", "injections per layer"},
-        {"seed", "S", "campaign RNG seed"},
-        {"prefix-cache", "on|off", "golden-prefix suffix-replay cache"},
-        {"sites-per-trial", "K", "faults per trial"}},
+       "send a campaign to a serve daemon; stream rows, print the summary",
+       concat({{"host", "H", "server address (default 127.0.0.1)"},
+               {"port", "N", "server port (required)"}},
+              campaign_spec_options()),
        false},
       {"worker",
        "lease trial ranges from a serve daemon and execute them",
@@ -342,15 +370,90 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// --epochs for every command that may train a model on a cold cache. The
+/// cache key holds no epoch count, so a model cached untrained would be
+/// read silently by every later command: < 1 is a usage error, raised
+/// before any model is built.
+int64_t get_epochs(const ParsedArgs& p) {
+  const int64_t epochs = get_int(p, "epochs", 6);
+  if (epochs < 1) throw UsageError("--epochs must be >= 1");
+  return epochs;
+}
+
 /// The --model network from the --cache weights (trained and cached on a
 /// miss). Commands that only evaluate it pair it with a dataset of just the
 /// test images they slice (data::eval_config).
 std::unique_ptr<nn::Module> prepare_model(const ParsedArgs& p) {
   models::TrainConfig tc;
-  tc.epochs = get_int(p, "epochs", 6);
+  tc.epochs = get_epochs(p);
   return models::load_or_train(get(p, "model", "simple_cnn"),
                                get(p, "cache", "/tmp/goldeneye_model_cache"),
                                tc);
+}
+
+/// The one reader of the campaign flags (campaign_spec_options()), for
+/// `campaign` and `submit` alike. It keeps the rules only flags can
+/// express: a --ber or --burst-len that the error model ignores, and a
+/// spatial --inject-scope combined with another --error-model. Every value
+/// rule is net::campaign_spec_reason's, raised here as a usage error, so a
+/// bad spec exits 2 before any connection or model load.
+net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
+  // The index of `word` in a CLI word table, or -1.
+  const auto code_of = [](const auto& words, const std::string& word) {
+    const auto it = std::find(words.begin(), words.end(), word);
+    return it == words.end() ? -1 : static_cast<int>(it - words.begin());
+  };
+  net::CampaignSpecMsg spec;
+  spec.model_name = get(p, "model", "simple_cnn");
+  spec.epochs = get_epochs(p);
+  spec.samples = get_int(p, "samples", 16);
+  spec.format_spec = get(p, "format", "");
+  const std::string site = get(p, "site", "value");
+  const int site_code = code_of(net::kSiteWords, site);
+  if (site_code < 0) throw UsageError("unknown --site '" + site + "'");
+  // --error-model names the single-element models; the spatial ones are
+  // --inject-scope's.
+  const std::string em = get(p, "error-model", "flip");
+  int model_code = code_of(net::kErrorModelWords, em);
+  if (model_code < 0 || model_code > static_cast<int>(ErrorModel::kBurst)) {
+    throw UsageError("unknown --error-model '" + em + "'");
+  }
+  const std::string scope = get(p, "inject-scope", "layer");
+  if (scope == "channel" || scope == "row") {
+    if (em != "flip") {
+      throw UsageError("--inject-scope " + scope +
+                       " selects its own error model; drop --error-model");
+    }
+    model_code = static_cast<int>(scope == "channel" ? ErrorModel::kChannel
+                                                     : ErrorModel::kRowBurst);
+  } else if (scope != "layer") {
+    throw UsageError("unknown --inject-scope '" + scope + "'");
+  }
+  const auto model = static_cast<ErrorModel>(model_code);
+  if (p.options.count("ber") != 0 && model != ErrorModel::kBerUniform &&
+      model != ErrorModel::kChannel && model != ErrorModel::kRowBurst) {
+    throw UsageError("--ber applies only to --error-model ber or "
+                     "--inject-scope channel|row");
+  }
+  if (p.options.count("burst-len") != 0 && model != ErrorModel::kBurst) {
+    throw UsageError("--burst-len applies only to --error-model burst");
+  }
+  spec.site = static_cast<uint8_t>(site_code);
+  spec.error_model = static_cast<uint8_t>(model_code);
+  spec.ber = get_num(p, "ber", 0.0);
+  spec.burst_len = get_int32(p, "burst-len", 2);
+  spec.injections_per_layer = get_int(p, "injections", 50);
+  spec.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
+  const std::string prefix_cache = get(p, "prefix-cache", "on");
+  if (prefix_cache != "on" && prefix_cache != "off") {
+    throw UsageError("--prefix-cache must be 'on' or 'off'");
+  }
+  spec.prefix_cache = prefix_cache == "on" ? 1 : 0;
+  spec.sites_per_trial = get_int32(p, "sites-per-trial", 1);
+  if (const std::string why = net::campaign_spec_reason(spec); !why.empty()) {
+    throw UsageError(why);
+  }
+  return spec;
 }
 
 /// Standard first report row: what ran, with what inputs, on how many
@@ -401,103 +504,8 @@ int cmd_accuracy(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
-                 obs::RunLog* log) {
-  CampaignConfig cfg;
-  cfg.format_spec = get(p, "format", "");
-  if (!fmt::is_valid_spec(cfg.format_spec)) {
-    err << "campaign: bad or missing --format\n";
-    return 2;
-  }
-  const std::string site = get(p, "site", "value");
-  if (site == "value") {
-    cfg.site = InjectionSite::kActivationValue;
-  } else if (site == "weight") {
-    cfg.site = InjectionSite::kWeightValue;
-  } else if (site == "metadata") {
-    cfg.site = InjectionSite::kMetadata;
-  } else {
-    err << "campaign: unknown --site '" << site << "'\n";
-    return 2;
-  }
-  if (const std::string why = no_layer_reason(cfg.format_spec, cfg.site);
-      !why.empty()) {
-    throw UsageError(why);
-  }
-  const std::string em = get(p, "error-model", "flip");
-  if (em == "flip") {
-    cfg.model = ErrorModel::kBitFlip;
-  } else if (em == "sa0") {
-    cfg.model = ErrorModel::kStuckAt0;
-  } else if (em == "sa1") {
-    cfg.model = ErrorModel::kStuckAt1;
-  } else if (em == "ber") {
-    cfg.model = ErrorModel::kBerUniform;
-  } else if (em == "burst") {
-    cfg.model = ErrorModel::kBurst;
-  } else {
-    err << "campaign: unknown --error-model '" << em << "'\n";
-    return 2;
-  }
-  // Spatial scopes are error models of their own: a channel/row fault
-  // perturbs the same bits in every element of one region. They own the
-  // error-model slot, so only the default 'flip' may be combined.
-  const std::string scope = get(p, "inject-scope", "layer");
-  std::string em_label = em;
-  if (scope == "channel" || scope == "row") {
-    if (em != "flip") {
-      throw UsageError("--inject-scope " + scope +
-                       " selects its own error model; drop --error-model");
-    }
-    cfg.model = scope == "channel" ? ErrorModel::kChannel
-                                   : ErrorModel::kRowBurst;
-    em_label = to_string(cfg.model);
-  } else if (scope != "layer") {
-    err << "campaign: unknown --inject-scope '" << scope << "'\n";
-    return 2;
-  }
-  cfg.ber = get_num(p, "ber", 0.0);
-  cfg.burst_len = static_cast<int>(get_int(p, "burst-len", 2));
-  if (cfg.model == ErrorModel::kBerUniform) {
-    if (!(cfg.ber > 0.0 && cfg.ber <= 1.0)) {
-      throw UsageError("--error-model ber requires --ber in (0, 1]");
-    }
-  } else if (cfg.model == ErrorModel::kChannel ||
-             cfg.model == ErrorModel::kRowBurst) {
-    if (!(cfg.ber >= 0.0 && cfg.ber <= 1.0)) {
-      throw UsageError("--ber must be in [0, 1]");
-    }
-  } else if (p.options.count("ber") != 0) {
-    throw UsageError("--ber applies only to --error-model ber or "
-                     "--inject-scope channel|row");
-  }
-  if (p.options.count("burst-len") != 0 &&
-      cfg.model != ErrorModel::kBurst) {
-    throw UsageError("--burst-len applies only to --error-model burst");
-  }
-  if (cfg.burst_len < 1) {
-    throw UsageError("--burst-len must be >= 1");
-  }
-  if (is_zoo_model(cfg.model) &&
-      cfg.site != InjectionSite::kActivationValue) {
-    throw UsageError("error model '" + em_label +
-                     "' requires --site value (activations only)");
-  }
-  cfg.injections_per_layer = get_int(p, "injections", 50);
-  cfg.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
-  const std::string prefix_cache = get(p, "prefix-cache", "on");
-  if (prefix_cache == "on") {
-    cfg.use_prefix_cache = true;
-  } else if (prefix_cache == "off") {
-    cfg.use_prefix_cache = false;
-  } else {
-    throw UsageError("--prefix-cache must be 'on' or 'off'");
-  }
-  cfg.sites_per_trial = static_cast<int>(get_int(p, "sites-per-trial", 1));
-  if (cfg.sites_per_trial < 1) {
-    throw UsageError("--sites-per-trial must be >= 1");
-  }
-  const int64_t samples = get_samples(p, 16);
+int cmd_campaign(const ParsedArgs& p, std::ostream& out, obs::RunLog* log) {
+  const net::CampaignSpecMsg spec = parse_campaign_spec(p);
 
   // Persistence / sharding options (DESIGN.md §9). All misuse is a
   // UsageError so scripts can rely on exit 2 for their own mistakes.
@@ -532,20 +540,14 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
         "--shards > 1 requires --checkpoint FILE (shard results are "
         "merged from their .gec files)");
   }
-  write_run_header(log, p, cfg.format_spec, samples,
+  write_run_header(log, p, spec.format_spec, spec.samples,
                    p.options.count("resume") != 0);
 
-  const auto model = prepare_model(p);
-  const data::SyntheticVision data{data::eval_config(samples)};
-  const auto batch = data::take(data.test(), 0, samples);
-  // Replica factory lets trials fan out across pool workers; weights are
-  // copied from the trained primary, so the init seed here is irrelevant.
-  const std::string model_name = get(p, "model", "simple_cnn");
-  cfg.make_replica = [model_name]() {
-    return models::make_model(model_name, data::SyntheticVisionConfig{}, 0);
-  };
-  ropts.model_name = model_name;
-  ropts.eval_samples = samples;
+  // The campaign the server's executor and every worker would build.
+  const net::PreparedCampaign prep = net::prepare_campaign(
+      spec, get(p, "cache", "/tmp/goldeneye_model_cache"));
+  ropts.model_name = spec.model_name;
+  ropts.eval_samples = spec.samples;
   ropts.run_log = log;  // per-trial "trial" + "heartbeat" records
   // Loading the resume file can throw io::IoError (missing, corrupt,
   // wrong campaign) — run_cli maps that to exit 2.
@@ -556,7 +558,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     ropts.resume_from = &*resumed;
   }
 
-  const CampaignProgress prog = run_campaign_trials(*model, batch, cfg, ropts);
+  const CampaignProgress prog = prep.session->run(ropts);
   if (!ropts.checkpoint_path.empty()) {
     io::save_campaign_progress(ropts.checkpoint_path, prog);
   }
@@ -572,7 +574,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     out << "progress saved: " << ropts.checkpoint_path << "\n";
     if (log != nullptr) {
       obs::JsonObject row;
-      row.str("format", cfg.format_spec)
+      row.str("format", spec.format_spec)
           .num("completed_trials", prog.completed_trials())
           .num("total_trials", prog.total_trials())
           .num("shards", static_cast<int64_t>(ropts.shards))
@@ -581,19 +583,10 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     }
     return 0;
   }
-  const auto r = finalize_campaign(prog);
-  out << "campaign: " << cfg.format_spec << " site=" << site
-      << " error-model=" << em_label << " injections/layer="
-      << cfg.injections_per_layer << "\n";
-  out << "clean emulated accuracy: " << r.golden_accuracy << "\n";
-  out << std::left << std::setw(28) << "layer" << std::right << std::setw(12)
-      << "mean dLoss" << std::setw(10) << "SDC" << "\n";
-  for (const auto& l : r.layers) {
-    out << std::left << std::setw(28) << l.layer << std::right
-        << std::setw(12) << std::fixed << std::setprecision(5)
-        << l.mean_delta_loss << std::setw(9) << l.sdc_count << "/"
-        << l.injections << "\n";
-    if (log != nullptr) {
+  const CampaignResult r = finalize_campaign(prog);
+  out << net::render_campaign_summary(spec, r);
+  if (log != nullptr) {
+    for (const auto& l : r.layers) {
       obs::JsonObject row;
       row.str("layer", l.layer)
           .num("injections", l.injections)
@@ -604,15 +597,10 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
           .num("mean_mismatch_rate", l.mean_mismatch_rate);
       log->event("campaign_layer", row);
     }
-  }
-  out << "network mean dLoss: " << r.network_mean_delta_loss() << "\n";
-  out << "campaign digest: 0x" << std::hex << campaign_digest(r) << std::dec
-      << "\n";
-  if (log != nullptr) {
     obs::JsonObject row;
-    row.str("format", cfg.format_spec)
-        .str("site", site)
-        .str("error_model", em_label)
+    row.str("format", spec.format_spec)
+        .str("site", net::kSiteWords[spec.site])
+        .str("error_model", net::kErrorModelWords[spec.error_model])
         .num("golden_accuracy", static_cast<double>(r.golden_accuracy))
         .num("network_mean_delta_loss", r.network_mean_delta_loss());
     log->event("campaign_summary", row);
@@ -631,6 +619,8 @@ int cmd_train(const ParsedArgs& p, std::ostream& out, std::ostream& err,
               obs::RunLog* log) {
   const std::string save_path = get(p, "save", "");
   const std::string load_path = get(p, "load", "");
+  models::TrainConfig tc;
+  tc.epochs = get_epochs(p);
   const int64_t samples = get_samples(p, 256);
   std::string model_name = get(p, "model", "simple_cnn");
   write_run_header(log, p, "native", samples);
@@ -652,8 +642,6 @@ int cmd_train(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     out << "loaded: " << load_path << " (" << model_name << ", "
         << meta.parameter_count << " parameters)\n";
   } else {
-    models::TrainConfig tc;
-    tc.epochs = get_int(p, "epochs", 6);
     auto tm = models::ensure_trained(
         model_name, data, get(p, "cache", "/tmp/goldeneye_model_cache"), tc);
     model = std::move(tm.model);
@@ -1036,81 +1024,6 @@ int parse_port(const ParsedArgs& p, bool required) {
   return static_cast<int>(port);
 }
 
-/// The submit command's half of cmd_campaign's option parsing: the same
-/// flags, mapped onto the wire spec instead of a local CampaignConfig.
-/// Validation here catches typos before a round-trip; the server's
-/// prepare_campaign re-validates with the same rules (a lying client is
-/// answered with kError, not trusted).
-net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
-  net::CampaignSpecMsg spec;
-  spec.model_name = get(p, "model", "simple_cnn");
-  spec.epochs = get_int(p, "epochs", 6);
-  spec.samples = get_samples(p, 16);
-  spec.format_spec = get(p, "format", "");
-  if (!fmt::is_valid_spec(spec.format_spec)) {
-    throw UsageError("bad or missing --format");
-  }
-  const std::string site = get(p, "site", "value");
-  InjectionSite site_e = InjectionSite::kActivationValue;
-  if (site == "value") {
-    site_e = InjectionSite::kActivationValue;
-  } else if (site == "weight") {
-    site_e = InjectionSite::kWeightValue;
-  } else if (site == "metadata") {
-    site_e = InjectionSite::kMetadata;
-  } else {
-    throw UsageError("unknown --site '" + site + "'");
-  }
-  if (const std::string why = no_layer_reason(spec.format_spec, site_e);
-      !why.empty()) {
-    throw UsageError(why);
-  }
-  const std::string em = get(p, "error-model", "flip");
-  ErrorModel model_e = ErrorModel::kBitFlip;
-  if (em == "flip") {
-    model_e = ErrorModel::kBitFlip;
-  } else if (em == "sa0") {
-    model_e = ErrorModel::kStuckAt0;
-  } else if (em == "sa1") {
-    model_e = ErrorModel::kStuckAt1;
-  } else if (em == "ber") {
-    model_e = ErrorModel::kBerUniform;
-  } else if (em == "burst") {
-    model_e = ErrorModel::kBurst;
-  } else {
-    throw UsageError("unknown --error-model '" + em + "'");
-  }
-  const std::string scope = get(p, "inject-scope", "layer");
-  if (scope == "channel" || scope == "row") {
-    if (em != "flip") {
-      throw UsageError("--inject-scope " + scope +
-                       " selects its own error model; drop --error-model");
-    }
-    model_e = scope == "channel" ? ErrorModel::kChannel
-                                 : ErrorModel::kRowBurst;
-  } else if (scope != "layer") {
-    throw UsageError("unknown --inject-scope '" + scope + "'");
-  }
-  spec.site = static_cast<uint8_t>(site_e);
-  spec.error_model = static_cast<uint8_t>(model_e);
-  spec.ber = get_num(p, "ber", 0.0);
-  spec.burst_len = static_cast<int32_t>(get_int(p, "burst-len", 2));
-  if (model_e == ErrorModel::kBerUniform &&
-      !(spec.ber > 0.0 && spec.ber <= 1.0)) {
-    throw UsageError("--error-model ber requires --ber in (0, 1]");
-  }
-  spec.injections_per_layer = get_int(p, "injections", 50);
-  spec.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
-  const std::string prefix_cache = get(p, "prefix-cache", "on");
-  if (prefix_cache != "on" && prefix_cache != "off") {
-    throw UsageError("--prefix-cache must be 'on' or 'off'");
-  }
-  spec.prefix_cache = prefix_cache == "on" ? 1 : 0;
-  spec.sites_per_trial =
-      static_cast<int32_t>(get_int(p, "sites-per-trial", 1));
-  return spec;
-}
-
 int cmd_serve(const ParsedArgs& p, std::ostream& err, obs::RunLog* log) {
   net::ServeOptions so;
   so.port = parse_port(p, /*required=*/false);
@@ -1331,7 +1244,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (parsed->command == "accuracy") {
       code = cmd_accuracy(*parsed, out, err, log.get());
     } else if (parsed->command == "campaign") {
-      code = cmd_campaign(*parsed, out, err, log.get());
+      code = cmd_campaign(*parsed, out, log.get());
     } else if (parsed->command == "train") {
       code = cmd_train(*parsed, out, err, log.get());
     } else if (parsed->command == "merge") {

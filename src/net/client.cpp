@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <iomanip>
 #include <optional>
 #include <thread>
 
@@ -91,10 +90,9 @@ int run_submit(const SubmitOptions& opts, obs::RunLog* report,
         break;
       }
       case FrameType::kDone: {
-        const DoneMsg done = decode_done(f->payload, chan.context());
-        out << done.summary;
-        out << "campaign digest: 0x" << std::hex << done.digest << std::dec
-            << "\n";
+        // The summary is render_campaign_summary's text, digest line
+        // included: exactly what an offline `campaign` prints.
+        out << decode_done(f->payload, chan.context()).summary;
         return 0;
       }
       case FrameType::kCheckpointed: {

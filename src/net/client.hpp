@@ -31,8 +31,8 @@ struct SubmitOptions {
 /// Submit one campaign and block until it resolves. Streamed rows go
 /// verbatim into `report` (borrowed, may be null) — the same bytes an
 /// offline `campaign --report` run would write. On kDone prints the
-/// server's summary plus the standard "campaign digest: 0x..." line and
-/// returns 0; on kCheckpointed prints the checkpoint path and returns 0;
+/// server's summary (render_campaign_summary: what an offline `campaign`
+/// prints, digest line included) and returns 0; on kCheckpointed prints the checkpoint path and returns 0;
 /// on kError prints the message and returns 1.
 int run_submit(const SubmitOptions& opts, obs::RunLog* report,
                std::ostream& out, std::ostream& err);

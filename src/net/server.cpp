@@ -553,17 +553,8 @@ void Server::executor_loop() {
 
 core::CampaignProgress Server::merge_parts(
     const std::shared_ptr<Campaign>& c) {
-  std::vector<core::CampaignProgress> parts;
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    parts = c->parts;
-  }
-  // Lease parts all carry shards=1/shard_index=0; merge only needs the
-  // parts to be distinguishable, so relabel each with its position.
-  for (size_t i = 0; i < parts.size(); ++i) {
-    parts[i].shard_index = static_cast<int>(i);
-  }
-  return core::merge_campaign_progress(parts);
+  std::lock_guard<std::mutex> lock(c->mu);
+  return core::merge_campaign_progress(c->parts);
 }
 
 void Server::checkpoint_campaign(const std::shared_ptr<Campaign>& c) {

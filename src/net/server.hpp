@@ -140,8 +140,8 @@ class Server {
   void executor_loop();
   void execute(const std::shared_ptr<Campaign>& c);
   void checkpoint_campaign(const std::shared_ptr<Campaign>& c);
-  /// Merge c->parts (relabelled with distinct shard indices) into one
-  /// progress; parts must be non-empty.
+  /// Merge c->parts, as they are, into one progress; parts must be
+  /// non-empty. Lease ranges are disjoint, so their done sets are too.
   core::CampaignProgress merge_parts(const std::shared_ptr<Campaign>& c);
 
   std::shared_ptr<Campaign> active_campaign();

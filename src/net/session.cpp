@@ -1,5 +1,6 @@
 #include "net/session.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -62,44 +63,52 @@ void LineFrameBuf::emit_line() {
   line_.clear();
 }
 
-PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
-                                  const std::string& cache_dir) {
-  // Same validation the campaign CLI applies to its flags: a bad spec is
-  // a diagnosed protocol-level error, never a crash deep in the stack.
+std::string campaign_spec_reason(const CampaignSpecMsg& spec) {
   if (!fmt::is_valid_spec(spec.format_spec)) {
-    throw NetError("campaign spec: bad format '" + spec.format_spec + "'");
+    return "bad or missing --format '" + spec.format_spec + "'";
   }
-  if (spec.site > static_cast<uint8_t>(core::InjectionSite::kMetadata)) {
-    throw NetError("campaign spec: unknown injection site byte " +
-                   std::to_string(spec.site));
+  if (spec.site >= kSiteWords.size()) {
+    return "unknown --site byte " + std::to_string(spec.site);
   }
-  if (spec.error_model > static_cast<uint8_t>(core::ErrorModel::kChannel)) {
-    throw NetError("campaign spec: unknown error model byte " +
-                   std::to_string(spec.error_model));
+  if (spec.error_model >= kErrorModelWords.size()) {
+    return "unknown --error-model byte " + std::to_string(spec.error_model);
   }
-  if (spec.injections_per_layer < 1) {
-    throw NetError("campaign spec: injections_per_layer must be >= 1");
+  const std::vector<std::string> models = models::model_names();
+  if (std::find(models.begin(), models.end(), spec.model_name) ==
+      models.end()) {
+    return "unknown --model '" + spec.model_name + "'";
   }
+  if (spec.injections_per_layer < 1) return "--injections must be >= 1";
   const int64_t max_samples = data::SyntheticVisionConfig{}.test_count;
   if (spec.samples < 1 || spec.samples > max_samples) {
-    throw NetError("campaign spec: samples must be in [1, " +
-                   std::to_string(max_samples) + "]");
+    return "--samples must be in [1, " + std::to_string(max_samples) + "]";
   }
-  if (spec.epochs < 1) {
-    throw NetError("campaign spec: epochs must be >= 1");
+  if (spec.epochs < 1) return "--epochs must be >= 1";
+  if (spec.sites_per_trial < 1) return "--sites-per-trial must be >= 1";
+  if (spec.burst_len < 1) return "--burst-len must be >= 1";
+  // Written so that a NaN fails: it is false under every comparison.
+  const auto model = static_cast<core::ErrorModel>(spec.error_model);
+  if (model == core::ErrorModel::kBerUniform) {
+    if (!(spec.ber > 0.0 && spec.ber <= 1.0)) {
+      return "--error-model ber requires --ber in (0, 1]";
+    }
+  } else if (!(spec.ber >= 0.0 && spec.ber <= 1.0)) {
+    return "--ber must be in [0, 1]";
   }
-  if (spec.sites_per_trial < 1) {
-    throw NetError("campaign spec: sites_per_trial must be >= 1");
+  const auto site = static_cast<core::InjectionSite>(spec.site);
+  if (core::is_zoo_model(model) &&
+      site != core::InjectionSite::kActivationValue) {
+    return std::string("error model '") + kErrorModelWords[spec.error_model] +
+           "' requires --site value (activations only)";
   }
-  if (spec.burst_len < 1) {
-    throw NetError("campaign spec: burst_len must be >= 1");
-  }
-  if (const std::string why = core::no_layer_reason(
-          spec.format_spec, static_cast<core::InjectionSite>(spec.site));
-      !why.empty()) {
+  return core::no_layer_reason(spec.format_spec, site);
+}
+
+PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
+                                  const std::string& cache_dir) {
+  if (const std::string why = campaign_spec_reason(spec); !why.empty()) {
     throw NetError("campaign spec: " + why);
   }
-
   core::CampaignConfig cfg;
   cfg.format_spec = spec.format_spec;
   cfg.site = static_cast<core::InjectionSite>(spec.site);
@@ -110,32 +119,15 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
   cfg.ber = spec.ber;
   cfg.burst_len = spec.burst_len;
   cfg.use_prefix_cache = spec.prefix_cache != 0;
-  if (cfg.model == core::ErrorModel::kBerUniform &&
-      !(cfg.ber > 0.0 && cfg.ber <= 1.0)) {
-    throw NetError("campaign spec: error model 'ber' requires ber in (0, 1]");
-  }
-  if (!(cfg.ber >= 0.0 && cfg.ber <= 1.0)) {
-    throw NetError("campaign spec: ber must be in [0, 1]");
-  }
-  if (core::is_zoo_model(cfg.model) &&
-      cfg.site != core::InjectionSite::kActivationValue) {
-    throw NetError("campaign spec: error model '" +
-                   std::string(core::to_string(cfg.model)) +
-                   "' requires the activation-value site");
-  }
 
   PreparedCampaign out;
   models::TrainConfig tc;
   tc.epochs = spec.epochs;
-  try {
-    out.model = models::load_or_train(spec.model_name, cache_dir, tc);
-  } catch (const std::exception& e) {
-    throw NetError("campaign spec: cannot prepare model '" +
-                   spec.model_name + "': " + e.what());
-  }
-  // More samples than the default test split fail in take, as offline.
+  out.model = models::load_or_train(spec.model_name, cache_dir, tc);
   const data::SyntheticVision data{data::eval_config(spec.samples)};
   out.batch = data::take(data.test(), 0, spec.samples);
+  // Replicas let trials fan out across pool workers; the session copies
+  // the trained weights into them, so the init seed here is irrelevant.
   const std::string model_name = spec.model_name;
   cfg.make_replica = [model_name]() {
     return models::make_model(model_name, data::SyntheticVisionConfig{}, 0);
@@ -151,22 +143,21 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
 std::string render_campaign_summary(const CampaignSpecMsg& spec,
                                     const core::CampaignResult& result) {
   std::ostringstream out;
-  out << "campaign: " << spec.format_spec << " site="
-      << core::to_string(static_cast<core::InjectionSite>(spec.site))
-      << " error-model="
-      << core::to_string(static_cast<core::ErrorModel>(spec.error_model))
+  out << "campaign: " << spec.format_spec << " site=" << kSiteWords[spec.site]
+      << " error-model=" << kErrorModelWords[spec.error_model]
       << " injections/layer=" << spec.injections_per_layer << "\n";
   out << "clean emulated accuracy: " << result.golden_accuracy << "\n";
   out << std::left << std::setw(28) << "layer" << std::right << std::setw(12)
       << "mean dLoss" << std::setw(10) << "SDC" << "\n";
+  out << std::fixed << std::setprecision(5);
   for (const auto& l : result.layers) {
     out << std::left << std::setw(28) << l.layer << std::right
-        << std::setw(12) << std::fixed << std::setprecision(5)
-        << l.mean_delta_loss << std::setw(9) << l.sdc_count << "/"
-        << l.injections << "\n";
+        << std::setw(12) << l.mean_delta_loss << std::setw(9) << l.sdc_count
+        << "/" << l.injections << "\n";
   }
-  out.unsetf(std::ios::fixed);
   out << "network mean dLoss: " << result.network_mean_delta_loss() << "\n";
+  out << "campaign digest: 0x" << std::hex << core::campaign_digest(result)
+      << "\n";
   return out.str();
 }
 

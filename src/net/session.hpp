@@ -10,21 +10,25 @@
 //    turns a campaign run's report stream into live row streaming —
 //    the rows on the wire are the exact bytes an offline --report run
 //    would have written.
-//  - prepare_campaign: CampaignSpecMsg -> model, batch, CampaignConfig
-//    and the CampaignSession every lease of the campaign runs through.
-//    It loads only what a campaign reads: the cached weights and the
-//    first `samples` test images (a cache miss trains first). The spec's
-//    trace context rides along untouched: callers that want their spans
-//    in the submit client's trace install an obs::TraceContextScope from
-//    spec.trace_id/parent_span_id first (telemetry only — results are
-//    bitwise independent of tracing). The server's executor and every
-//    worker call this once per campaign against their own cache dir;
-//    deterministic synthetic training makes the weights bitwise identical
+//  - the campaign front door: campaign_spec_reason checks a spec's
+//    values, prepare_campaign builds the campaign from it, and
+//    render_campaign_summary prints the result. `goldeneye campaign`,
+//    `goldeneye submit` (through the CLI's flag reader), the server's
+//    executor and every worker go through these three, so offline and
+//    served campaigns are checked, built and printed by the same code.
+//    prepare_campaign loads only what a campaign reads: the cached
+//    weights and the first `samples` test images (a cache miss trains
+//    first). The spec's trace context rides along untouched: callers that
+//    want their spans in the submit client's trace install an
+//    obs::TraceContextScope from spec.trace_id/parent_span_id first
+//    (telemetry only — results are bitwise independent of tracing).
+//    Deterministic synthetic training makes the weights bitwise identical
 //    across processes, and the golden-digest check in
 //    merge_campaign_progress turns any divergence into a diagnosed error
 //    instead of silently mixed statistics.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -94,6 +98,24 @@ class LineFrameStream : public std::ostream {
   LineFrameBuf buf_;
 };
 
+/// The CLI words of each core::InjectionSite and core::ErrorModel,
+/// indexed by the enum's wire byte: what `--site` and `--error-model`
+/// read (the last two models come from `--inject-scope row|channel`), and
+/// what render_campaign_summary and the campaign report rows print.
+inline constexpr std::array<const char*, 3> kSiteWords = {"value", "weight",
+                                                          "metadata"};
+inline constexpr std::array<const char*, 7> kErrorModelWords = {
+    "flip", "sa0", "sa1", "ber", "burst", "row_burst", "channel"};
+
+/// Why `spec` cannot run, or "" when it can: every value rule of a
+/// campaign, each reason naming the CLI flag it concerns (format, site and
+/// error-model bytes in range, a known model, injections, samples, epochs,
+/// sites per trial and burst length in range, a ber in range for its model,
+/// zoo models at the value site only, and a site that selects some layer).
+/// The CLI's flag reader raises it as a usage error before connecting or
+/// loading anything; prepare_campaign raises it again for library clients.
+std::string campaign_spec_reason(const CampaignSpecMsg& spec);
+
 /// A campaign reconstructed from its wire spec: trained model, evaluation
 /// batch, the CampaignConfig (with replica factory), and the session that
 /// holds the model instrumented — run trials through `session`, not on
@@ -107,16 +129,20 @@ struct PreparedCampaign {
   int64_t total_trials = 0;  ///< campaigned layers * injections_per_layer
 };
 
-/// Validate `spec` and build the campaign exactly as `goldeneye campaign`
-/// would (same model cache contract, same replica factory, same batch
-/// slice), session included. Throws NetError on an invalid spec — bad
-/// format string, out of range site/error-model byte, unknown model name.
+/// Build the campaign `spec` names: the model from `cache_dir` (trained
+/// and cached on a miss), its first `samples` test images, the config with
+/// its replica factory, and the session. The one builder: `goldeneye
+/// campaign`, the server's executor and every worker call it. Throws
+/// NetError("campaign spec: " + campaign_spec_reason(spec)) on an invalid
+/// spec, before any model is loaded.
 PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
                                   const std::string& cache_dir);
 
-/// The offline CLI's stdout report for a finished campaign (layer table,
-/// accuracies, digest line) rendered to a string — the kDone summary the
-/// submit client prints verbatim.
+/// What `goldeneye campaign` prints for a finished campaign: the header in
+/// CLI words, the clean emulated accuracy, the per-layer table, the network
+/// mean ΔLoss (5 decimals) and the digest line. The served kDone summary is
+/// this text, and submit prints it verbatim, so served stdout equals
+/// offline stdout. `spec` must have passed campaign_spec_reason.
 std::string render_campaign_summary(const CampaignSpecMsg& spec,
                                     const core::CampaignResult& result);
 

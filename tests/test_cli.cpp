@@ -5,10 +5,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "core/cli.hpp"
+#include "net/server.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ge::core {
@@ -775,6 +778,117 @@ TEST(Cli, WorkerValidatesNumericOptions) {
   EXPECT_EQ(run({"worker", "--port", "19", "--max-leases", "-1"}).code, 2);
   EXPECT_EQ(run({"worker", "--port", "19", "--poll", "0"}).code, 2);
   EXPECT_EQ(run({"worker", "--port", "19", "--drop-leases", "-2"}).code, 2);
+}
+
+TEST(Cli, CampaignAndSubmitRefuseABadSpecAlike) {
+  // One flag reader and one spec check: each bad flag set is a usage error
+  // with the same reason from both commands, and submit refuses it before
+  // it connects (port 1 would answer with a connection error). campaign
+  // gets a cache of its own: a spec that slipped through would train and
+  // cache a model there.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"--injections", "0"}, "--injections"},
+          {{"--injections", "-1"}, "--injections"},
+          {{"--epochs", "0"}, "--epochs"},
+          {{"--model", "nope"}, "--model"},
+          {{"--ber", "0.5"}, "--ber"},
+          {{"--burst-len", "3"}, "--burst-len"},
+          {{"--burst-len", "0", "--error-model", "burst"}, "--burst-len"},
+          {{"--burst-len", "4294967297", "--error-model", "burst"},
+           "--burst-len"},
+          {{"--sites-per-trial", "0"}, "--sites-per-trial"},
+          {{"--sites-per-trial", "4294967297"}, "--sites-per-trial"},
+          {{"--error-model", "ber", "--ber", "1e-3", "--site", "weight"},
+           "--site value"},
+      };
+  // The reason follows the command name ("campaign: ...", "submit: ...").
+  const auto reason = [](const std::string& err) {
+    const size_t colon = err.find(':');
+    return colon == std::string::npos ? err : err.substr(colon);
+  };
+  for (const auto& [flags, fragment] : cases) {
+    std::vector<std::string> campaign = {"campaign", "--format", "fp_e5m10",
+                                         "--cache", "/tmp/ge_cli_refused"};
+    std::vector<std::string> submit = {"submit", "--port", "1", "--format",
+                                       "fp_e5m10"};
+    campaign.insert(campaign.end(), flags.begin(), flags.end());
+    submit.insert(submit.end(), flags.begin(), flags.end());
+    const auto offline = run(campaign);
+    const auto served = run(submit);
+    EXPECT_EQ(offline.code, 2) << fragment << ": " << offline.err;
+    EXPECT_EQ(served.code, 2) << fragment << ": " << served.err;
+    EXPECT_NE(offline.err.find(fragment), std::string::npos) << offline.err;
+    EXPECT_EQ(reason(offline.err), reason(served.err));
+  }
+}
+
+TEST(Cli, EpochsBelowOneIsRefusedBeforeAnyModelIsBuilt) {
+  // The weight cache key holds no epoch count: a model cached untrained
+  // would be read by every later command. Each model command refuses
+  // --epochs 0 before it builds a model, so a fresh cache stays empty.
+  const std::string cache = "/tmp/ge_cli_epochs0_cache";
+  std::filesystem::remove_all(cache);
+  const std::vector<std::vector<std::string>> commands = {
+      {"campaign", "--format", "fp_e5m10"},
+      {"accuracy", "--format", "int8"},
+      {"dse"},
+      {"profile"},
+      {"train"},
+  };
+  for (std::vector<std::string> args : commands) {
+    args.insert(args.end(), {"--model", "mlp", "--epochs", "0", "--cache",
+                             cache, "--samples", "8"});
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("--epochs must be >= 1"), std::string::npos)
+        << args[0] << ": " << r.err;
+    EXPECT_TRUE(!std::filesystem::exists(cache) ||
+                std::filesystem::is_empty(cache))
+        << args[0];
+  }
+}
+
+TEST(Cli, SubmitPrintsTheOfflineCampaignStdout) {
+  // Both commands build through one prepare_campaign and print through one
+  // render_campaign_summary, so a served campaign's stdout is the offline
+  // stdout byte for byte, CLI words and 5-decimal dLoss included.
+  struct ThreadGuard {
+    int saved = parallel::num_threads();
+    ~ThreadGuard() { parallel::set_num_threads(saved); }
+  } guard;
+  const std::vector<std::vector<std::string>> specs = {
+      {"--format", "fp_e5m10"},
+      {"--format", "int8", "--site", "weight", "--error-model", "sa1"},
+      {"--format", "fp_e5m10", "--inject-scope", "row"},
+  };
+  for (const int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (const auto& flags : specs) {
+      std::vector<std::string> spec = {"--model", "mlp", "--epochs", "1",
+                                       "--samples", "8", "--injections", "3"};
+      spec.insert(spec.end(), flags.begin(), flags.end());
+      std::vector<std::string> campaign = {"campaign", "--cache",
+                                           "/tmp/ge_cli_cache"};
+      campaign.insert(campaign.end(), spec.begin(), spec.end());
+      const auto offline = run(campaign);
+      ASSERT_EQ(offline.code, 0) << offline.err;
+
+      net::ServeOptions sopts;
+      sopts.cache_dir = "/tmp/ge_cli_cache";
+      net::Server server(sopts, nullptr);
+      ASSERT_TRUE(server.ok()) << server.last_error();
+      std::thread serve([&] { server.run(); });
+      std::vector<std::string> submit = {"submit", "--port",
+                                         std::to_string(server.port())};
+      submit.insert(submit.end(), spec.begin(), spec.end());
+      const auto served = run(submit);
+      server.request_stop();
+      serve.join();
+      EXPECT_EQ(served.code, 0) << served.err;
+      EXPECT_EQ(served.out, offline.out) << "threads " << threads;
+    }
+  }
 }
 
 TEST(Cli, SubmitAgainstDeadServerExitsTwo) {

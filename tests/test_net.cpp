@@ -555,12 +555,8 @@ TEST(LeasePartition, ArbitraryPartitionMergesBitwiseIdentical) {
     parts.push_back(prep.session->run(opts));
     EXPECT_EQ(parts.back().completed_trials(), hi - lo);
   }
-  // Same relabelling the server's merge path uses: each part becomes one
-  // shard of a single logical run.
-  for (size_t i = 0; i < parts.size(); ++i) {
-    parts[i].shards = static_cast<int>(parts.size());
-    parts[i].shard_index = static_cast<int>(i);
-  }
+  // Merged as they are, as the server merges them: disjoint leases give
+  // disjoint done sets.
   const core::CampaignProgress merged = core::merge_campaign_progress(parts);
   EXPECT_TRUE(merged.complete());
   EXPECT_EQ(core::campaign_digest(core::finalize_campaign(merged)),
